@@ -24,6 +24,7 @@ Typical use::
 from .errors import (
     GuardExceededError,
     InstanceFormatError,
+    InvariantError,
     MatrixInvariantError,
     PreconditionError,
     RejectionSamplingError,
@@ -83,6 +84,7 @@ from .coreset import (
     PeelingCoreset,
     build_coreset,
     compose,
+    coreset_from_json,
     coreset_ids_from_json,
     coreset_to_json,
     find_laminar_exchange,
@@ -117,6 +119,7 @@ __all__ = [
     "HardInstance",
     "InstanceFormatError",
     "InstanceSpec",
+    "InvariantError",
     "LaminarConstraint",
     "LaminarNodeCoreset",
     "LocalOptResult",
@@ -141,6 +144,7 @@ __all__ = [
     "compose",
     "constraint_from_json",
     "constraint_to_json",
+    "coreset_from_json",
     "coreset_ids_from_json",
     "coreset_to_json",
     "cover_number",

@@ -14,21 +14,22 @@ plain objective.
 
 Three constraint shapes are covered:
 
-* cardinality: one peeling run (or a single local optimum when k <= d),
-* partition: one peeling run per group with that group's cap as threshold
-  (or one local optimum per group when k <= d),
+* cardinality: one peeling run, with threshold k (threshold 1, a single
+  local optimum, when k <= d),
+* partition: one peeling run per group, with that group's cap as threshold
+  (threshold 1 when k <= d),
 * laminar: a recursion that peels each maximal family set, and for every
   selected element descends into the largest proper family set around it.
 
-Coreset sizes are hard-asserted at construction: s*k in the low-rank
-regime, k*ell for partitions in the high-rank regime, (k*ell)**r for
-laminar families with cover number r.
+Coreset sizes are checked at construction and a violation raises
+InvariantError: s*k in the low-rank regime, k*ell for partitions in the
+high-rank regime, (k*ell)**r for laminar families with cover number r.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import PreconditionError, UnknownIdError
+from .errors import InvariantError, PreconditionError, UnknownIdError
 from .localsearch import DEFAULT_ZETA, local_opt
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde
 
@@ -50,16 +51,12 @@ class PeelingCoreset:
             out.update(layer.ids)
         return frozenset(out)
 
-    @property
-    def layer_sets(self):
-        return tuple(layer.id_set for layer in self.layers)
-
 
 def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
     """Peel up to ``threshold`` disjoint local optima out of V.
 
     Stops early once V is exhausted; the theoretical size bound
-    threshold*ell is asserted either way.  Layers whose working set had
+    threshold*ell is checked either way.  Layers whose working set had
     deficient rank come back flagged degenerate but still count as layers.
     """
     if not isinstance(threshold, int) or threshold < 1:
@@ -74,8 +71,10 @@ def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
         remaining -= res.id_set
     pc = PeelingCoreset(tuple(sorted(set(V))), threshold, ell, zeta, tuple(layers))
     union = pc.union
-    assert len(union) == sum(len(l.ids) for l in layers), "peeling layers must be disjoint"
-    assert len(union) <= threshold * ell, "peeling size bound violated"
+    if len(union) != sum(len(l.ids) for l in layers):
+        raise InvariantError("peeling layers must be disjoint")
+    if len(union) > threshold * ell:
+        raise InvariantError("peeling size bound violated")
     return pc
 
 
@@ -96,18 +95,25 @@ class LaminarNodeCoreset:
     removed: tuple
     children: tuple
 
-    def collect_ids(self):
-        out = set()
-        for layer in self.layers:
-            out.update(layer.ids)
+    def layer_ids(self):
+        """Layer id tuples of this node, then of each child subtree in order."""
+        out = [layer.ids for layer in self.layers]
         for child in self.children:
-            out.update(child.collect_ids())
+            out.extend(child.layer_ids())
         return out
+
+    def collect_ids(self):
+        return set().union(*self.layer_ids())
 
 
 @dataclass(frozen=True)
 class CoresetResult:
-    """A finished coreset: the ids plus enough structure to replay exchanges."""
+    """A finished coreset: the ids plus enough structure to replay exchanges.
+
+    ``layers`` holds every local-search layer in construction order, each a
+    sorted id tuple.  A result read back from JSON keeps its layers but has
+    an empty ``structure``, so it can be composed but not replayed.
+    """
 
     ids: frozenset
     kind: str
@@ -116,6 +122,7 @@ class CoresetResult:
     ell: int
     zeta: float
     declared_bound: int
+    layers: tuple
     structure: dict
     warnings: tuple = ()
 
@@ -126,38 +133,15 @@ class CoresetResult:
 
     def layer_lists(self):
         """All local-search layers in construction order, ids sorted."""
-        return _layer_lists(self)
+        return [list(layer) for layer in self.layers]
 
 
-def _layer_lists(result):
-    out = []
-    if result.kind == "cardinality":
-        inner = result.structure["selection"]
-        if isinstance(inner, PeelingCoreset):
-            out.extend(sorted(l.ids) for l in inner.layers)
-        else:
-            out.append(sorted(inner.ids))
-    elif result.kind == "partition":
-        for g in sorted(result.structure["parts"]):
-            inner = result.structure["parts"][g]
-            if isinstance(inner, PeelingCoreset):
-                out.extend(sorted(l.ids) for l in inner.layers)
-            else:
-                out.append(sorted(inner.ids))
-    elif result.kind == "laminar":
-        for root in sorted(result.structure["roots"]):
-            _collect_node_layers(result.structure["roots"][root], out)
-    elif result.kind == "composed":
-        for part in result.structure["machines"]:
-            out.extend(_layer_lists(part))
-    return out
-
-
-def _collect_node_layers(node, out):
-    for layer in node.layers:
-        out.append(sorted(layer.ids))
-    for child in node.children:
-        _collect_node_layers(child, out)
+def _working_set(V, constraint):
+    vset = set(V)
+    stray = vset - constraint.ground
+    if stray:
+        raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
+    return vset
 
 
 def _degenerate_warnings(prefix, layers):
@@ -168,61 +152,50 @@ def _degenerate_warnings(prefix, layers):
     )
 
 
-def partition_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
-    """Coreset for a partition constraint over the working set V.
-
-    With ell equal to the constraint rank k (only possible when k <= dim)
-    each group contributes a single local optimum and the size bound is
-    s*k.  With ell < k each group is peeled with its own cap as threshold
-    and the size bound is k*ell.
-    """
-    if constraint.kind != "partition":
-        raise PreconditionError("partition_coreset needs a partition constraint")
-    k = constraint.rank
-    vset = set(V)
-    stray = vset - constraint.ground
-    if stray:
-        raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
-    parts = {}
-    warnings = []
-    if ell == k:
-        regime = REGIME_LOWK
-        bound = len(constraint.caps) * k
-        for g in range(constraint.num_groups):
-            share = vset & constraint.part_ids(g)
-            if not share:
-                continue
-            res = local_opt(points, share, ell, zeta)
-            parts[g] = res
-            warnings.extend(_degenerate_warnings("group %d" % g, [res]))
-    elif ell < k:
-        regime = REGIME_HIGHK
-        bound = k * ell
-        for g in range(constraint.num_groups):
-            share = vset & constraint.part_ids(g)
-            cap = constraint.caps[g]
-            if not share or cap == 0:
-                continue
-            pc = peeling_coreset(points, share, cap, ell, zeta)
-            parts[g] = pc
-            warnings.extend(_degenerate_warnings("group %d" % g, pc.layers))
-    else:
-        raise PreconditionError("ell=%d exceeds constraint rank %d" % (ell, k))
-    ids = set()
-    for inner in parts.values():
-        ids.update(inner.union if isinstance(inner, PeelingCoreset) else inner.ids)
-    assert len(ids) <= bound, "partition coreset size bound violated"
+def _peeled_result(kind, regime, vset, ell, zeta, bound, labeled, structure):
+    """Finish a partition or cardinality coreset from (label, peeling) pairs."""
+    ids = frozenset().union(*(pc.union for _, pc in labeled))
+    if len(ids) > bound:
+        raise InvariantError("%s coreset size bound violated" % kind)
     return CoresetResult(
-        ids=frozenset(ids),
-        kind="partition",
+        ids=ids,
+        kind=kind,
         regime=regime,
         source=tuple(sorted(vset)),
         ell=ell,
         zeta=zeta,
         declared_bound=bound,
-        structure={"parts": parts},
-        warnings=tuple(warnings),
+        layers=tuple(layer.ids for _, pc in labeled for layer in pc.layers),
+        structure=structure,
+        warnings=tuple(w for label, pc in labeled for w in _degenerate_warnings(label, pc.layers)),
     )
+
+
+def partition_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
+    """Coreset for a partition constraint over the working set V.
+
+    Each group's share of V is peeled.  With ell equal to the constraint
+    rank k (only possible when k <= dim) the threshold is 1, a single local
+    optimum per group, and the size bound is s*k.  With ell < k the
+    threshold is the group's own cap and the size bound is k*ell.
+    """
+    if constraint.kind != "partition":
+        raise PreconditionError("partition_coreset needs a partition constraint")
+    k = constraint.rank
+    vset = _working_set(V, constraint)
+    if ell > k:
+        raise PreconditionError("ell=%d exceeds constraint rank %d" % (ell, k))
+    lowk = ell == k
+    parts = {}
+    for g in range(constraint.num_groups):
+        share = vset & constraint.part_ids(g)
+        threshold = 1 if lowk else constraint.caps[g]
+        if share and threshold:
+            parts[g] = peeling_coreset(points, share, threshold, ell, zeta)
+    regime = REGIME_LOWK if lowk else REGIME_HIGHK
+    bound = len(constraint.caps) * k if lowk else k * ell
+    labeled = [("group %d" % g, pc) for g, pc in parts.items()]
+    return _peeled_result("partition", regime, vset, ell, zeta, bound, labeled, {"parts": parts})
 
 
 def _cover_depth(constraint, i):
@@ -266,7 +239,8 @@ def _build_laminar_node(points, vset, constraint, node_idx, ell, zeta, warnings,
         children=tuple(child_nodes[c] for c in sorted(child_nodes)),
     )
     depth = _cover_depth(constraint, node_idx)
-    assert len(node.collect_ids()) <= (cap * ell) ** depth, "laminar node size bound violated"
+    if len(node.collect_ids()) > (cap * ell) ** depth:
+        raise InvariantError("laminar node size bound violated")
     return node
 
 
@@ -274,15 +248,12 @@ def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     """Coreset for a laminar constraint: peel each maximal set, recurse inward.
 
     Every element of V outside all family sets is always selectable and is
-    included verbatim.  Total size is asserted against (k*ell)**r where k is
+    included verbatim.  Total size is checked against (k*ell)**r where k is
     the constraint rank and r the cover number of the family.
     """
     if constraint.kind != "laminar":
         raise PreconditionError("laminar_coreset needs a laminar constraint")
-    vset = set(V)
-    stray = vset - constraint.ground
-    if stray:
-        raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
+    vset = _working_set(V, constraint)
     warnings = []
     roots = {}
     for i in constraint.roots:
@@ -297,11 +268,12 @@ def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     k = constraint.rank
     depth = max((_cover_depth(constraint, i) for i in constraint.roots), default=1)
     bound = (k * ell) ** depth
-    # the per-node asserts carry the real bound; this one catches accounting bugs
+    # the per-node checks carry the real bound; this one catches accounting bugs
     node_sum = len(free) + sum(
         (constraint.cap_of(i) * ell) ** _cover_depth(constraint, i) for i in constraint.roots
     )
-    assert len(ids) <= max(bound, node_sum), "laminar coreset size bound violated"
+    if len(ids) > max(bound, node_sum):
+        raise InvariantError("laminar coreset size bound violated")
     return CoresetResult(
         ids=frozenset(ids),
         kind="laminar",
@@ -310,6 +282,7 @@ def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
         ell=ell,
         zeta=zeta,
         declared_bound=bound,
+        layers=tuple(layer for root in sorted(roots) for layer in roots[root].layer_ids()),
         structure={"roots": roots, "free": tuple(free)},
         warnings=tuple(warnings),
     )
@@ -344,31 +317,12 @@ def build_coreset(points, V, constraint, zeta=DEFAULT_ZETA, regime="auto"):
         return laminar_coreset(points, V, constraint, ell, zeta)
     if constraint.kind != "cardinality":
         raise PreconditionError("unsupported constraint kind %r" % (constraint.kind,))
-    vset = set(V)
-    stray = vset - constraint.ground
-    if stray:
-        raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
-    if regime == REGIME_LOWK:
-        inner = local_opt(points, vset, ell, zeta) if vset else None
-        ids = frozenset(inner.ids) if inner else frozenset()
-        bound = k
-        warnings = _degenerate_warnings("selection", [inner] if inner else [])
-    else:
-        inner = peeling_coreset(points, vset, k, ell, zeta) if vset else None
-        ids = inner.union if inner else frozenset()
-        bound = k * ell
-        warnings = _degenerate_warnings("selection", inner.layers if inner else [])
-    assert len(ids) <= bound, "cardinality coreset size bound violated"
-    return CoresetResult(
-        ids=ids,
-        kind="cardinality",
-        regime=regime,
-        source=tuple(sorted(vset)),
-        ell=ell,
-        zeta=zeta,
-        declared_bound=bound,
-        structure={"selection": inner},
-        warnings=warnings,
+    vset = _working_set(V, constraint)
+    threshold = 1 if regime == REGIME_LOWK else k
+    selection = peeling_coreset(points, vset, threshold, ell, zeta)
+    labeled = [("selection", selection)]
+    return _peeled_result(
+        "cardinality", regime, vset, ell, zeta, threshold * ell, labeled, {"selection": selection}
     )
 
 
@@ -401,6 +355,7 @@ def compose(coresets):
         ell=first.ell,
         zeta=first.zeta,
         declared_bound=sum(cs.declared_bound for cs in parts),
+        layers=tuple(layer for cs in parts for layer in cs.layers),
         structure={"machines": tuple(parts)},
         warnings=tuple(w for cs in parts for w in cs.warnings),
     )
@@ -408,6 +363,26 @@ def compose(coresets):
 
 def _default_profile(union_ids, zeta, ell):
     return WeightProfile(frozenset(union_ids), zeta, ell, REGIME_HIGHK)
+
+
+def _best_replacement(points, sel, e, layers, blocks, profile, exhausted):
+    """Best f for e out of the first layer whose block (the id-set paired
+    with it in ``blocks``) S misses: the f maximizing mu_tilde(S - e + f),
+    smallest id on ties.  ``exhausted`` is the error when S meets every block.
+    """
+    for layer, block in zip(layers, blocks):
+        if not (sel & block):
+            break
+    else:
+        raise PreconditionError(exhausted)
+    base = sorted(sel - {e})
+    best_f = None
+    best_val = -math.inf
+    for f in sorted(layer.ids):
+        val = mu_tilde(points, base + [f], profile)
+        if best_f is None or val > best_val:
+            best_f, best_val = f, val
+    return best_f
 
 
 def find_value_preserving_exchange(points, S, e, peeling, profile=None):
@@ -433,23 +408,16 @@ def find_value_preserving_exchange(points, S, e, peeling, profile=None):
             "S meets the working set in %d > threshold %d elements"
             % (len(sel & vset), peeling.threshold)
         )
-    target = None
-    for layer in peeling.layers:
-        if not (sel & layer.id_set):
-            target = layer
-            break
-    if target is None:
-        raise PreconditionError("no layer is disjoint from S; exchange hypothesis violated")
     if profile is None:
         profile = _default_profile(peeling.union, peeling.zeta, peeling.ell)
-    base = sorted(sel - {e})
-    best_f = None
-    best_val = -math.inf
-    for f in sorted(target.ids):
-        val = mu_tilde(points, base + [f], profile)
-        if best_f is None or val > best_val:
-            best_f, best_val = f, val
-    return best_f
+    return _best_replacement(
+        points, sel, e, peeling.layers, [layer.id_set for layer in peeling.layers], profile,
+        "no layer is disjoint from S; exchange hypothesis violated",
+    )
+
+
+def _node_containing(nodes, e):
+    return next((node for node in nodes if e in node.set_ids), None)
 
 
 def find_laminar_exchange(points, S, e, result, profile=None):
@@ -474,59 +442,31 @@ def find_laminar_exchange(points, S, e, result, profile=None):
         raise PreconditionError("element %r is not in the coreset working set" % (e,))
     if e in result.ids:
         raise PreconditionError("element %r is already in the coreset" % (e,))
-    node = None
-    for root in result.structure["roots"].values():
-        if e in root.set_ids:
-            node = root
-            break
+    node = _node_containing(result.structure["roots"].values(), e)
     if node is None:
         raise PreconditionError(
             "element %r is outside every family set, so it is always kept" % (e,)
         )
     if profile is None:
         profile = _default_profile(result.ids, result.zeta, result.ell)
-    while True:
-        swallowed = None
-        for layer, block in zip(node.layers, node.removed):
-            if e in block:
-                swallowed = block
-                break
-        if swallowed is None:
-            break
-        child = None
-        for cand in node.children:
-            if e in cand.set_ids:
-                child = cand
-                break
-        if child is None:
+    while any(e in block for block in node.removed):
+        node = _node_containing(node.children, e)
+        if node is None:
             raise PreconditionError("inconsistent coreset structure around element %r" % (e,))
-        node = child
     if len(node.layers) < node.cap:
         raise PreconditionError(
             "exchange hypothesis violated: working set exhausted before cap layers"
         )
-    target = None
-    for layer, block in zip(node.layers, node.removed):
-        if not (sel & block):
-            target = layer
-            break
-    if target is None:
-        raise PreconditionError(
-            "S meets every removed block of the family set; is S feasible?"
-        )
-    base = sorted(sel - {e})
-    best_f = None
-    best_val = -math.inf
-    for f in sorted(target.ids):
-        val = mu_tilde(points, base + [f], profile)
-        if best_f is None or val > best_val:
-            best_f, best_val = f, val
-    return best_f
+    return _best_replacement(
+        points, sel, e, node.layers, node.removed, profile,
+        "S meets every removed block of the family set; is S feasible?",
+    )
 
 
 def coreset_to_json(result):
     """Serialize a CoresetResult to the interchange schema."""
     return {
+        "kind": result.kind,
         "regime": result.regime,
         "ids": sorted(result.ids),
         "layers": result.layer_lists(),
@@ -535,6 +475,58 @@ def coreset_to_json(result):
         "ell": result.ell,
         "source": sorted(result.source),
     }
+
+
+def _is_int(value, low):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_id_list(value):
+    return isinstance(value, list) and all(_is_int(i, 0) for i in value)
+
+
+# every field coreset_to_json writes -> (check, what the check wants)
+_JSON_FIELDS = {
+    "kind": (lambda v: v in ("cardinality", "partition", "laminar", "composed"), "a coreset kind"),
+    "regime": (lambda v: v in (REGIME_LOWK, REGIME_HIGHK), "'lowk' or 'highk'"),
+    "ids": (_is_id_list, "a list of non-negative int ids"),
+    "source": (_is_id_list, "a list of non-negative int ids"),
+    "layers": (lambda v: isinstance(v, list) and all(map(_is_id_list, v)), "a list of id lists"),
+    "declared_bound": (lambda v: _is_int(v, 0), "a non-negative int"),
+    "ell": (lambda v: _is_int(v, 1), "a positive int"),
+    "zeta": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 1.0,
+             "a number >= 1"),
+}
+
+
+def coreset_from_json(doc):
+    """Read a coreset document back into a composable CoresetResult.
+
+    Every field of :func:`coreset_to_json` is required and checked.  The
+    exchange structure is not serialized, so ``structure`` comes back empty.
+    """
+    if not isinstance(doc, dict):
+        raise PreconditionError("coreset document must be a JSON object")
+    for key, (ok, want) in _JSON_FIELDS.items():
+        if key not in doc:
+            raise PreconditionError("coreset document missing %r field" % key)
+        if not ok(doc[key]):
+            raise PreconditionError("coreset %s must be %s" % (key, want))
+    ids = frozenset(doc["ids"])
+    layers = tuple(tuple(layer) for layer in doc["layers"])
+    if not ids <= set(doc["source"]) or not all(ids.issuperset(layer) for layer in layers):
+        raise PreconditionError("coreset layers must lie in its ids, and its ids in its source")
+    return CoresetResult(
+        ids=ids,
+        kind=doc["kind"],
+        regime=doc["regime"],
+        source=tuple(sorted(doc["source"])),
+        ell=doc["ell"],
+        zeta=doc["zeta"],
+        declared_bound=doc["declared_bound"],
+        layers=layers,
+        structure={},
+    )
 
 
 def coreset_ids_from_json(doc):

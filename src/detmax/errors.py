@@ -31,3 +31,7 @@ class RejectionSamplingError(RuntimeError):
 
 class SwapLimitError(RuntimeError):
     """Local search exceeded its hard cap on accepted swaps."""
+
+
+class InvariantError(RuntimeError):
+    """A checked guarantee (size bound, disjointness, ratio sandwich) failed: a detmax bug."""

@@ -6,11 +6,14 @@ semi-definite Gram matrix.  Values are carried in log domain throughout, with
 instances of interest span ranges like M**(2k) that overflow linear scale
 long before they stress float64 exponents in log scale.
 
-Singularity is classified with a relative pivot cutoff so that the same
-matrix scaled by a constant is classified the same way: during the Cholesky
-sweep a pivot at or below ``1e-12 * trace / dim`` is treated as zero and the
-determinant as exactly singular.  Pivots below the negative tolerance mean
-the input was not PSD to begin with and raise ``MatrixInvariantError``.
+Singularity is classified per pivot: during the Cholesky sweep a pivot at
+or below ``1e-12 * a[j, j]`` is treated as zero and the determinant as
+exactly singular.  For a Gram matrix that ratio is the squared sine of the
+angle between vector j and the span of the earlier vectors, so rescaling
+any one vector never changes the verdict; local search applies the same
+rule to residuals against each vector's own squared norm.  Pivots below
+the negative tolerance mean the input was not PSD to begin with and raise
+``MatrixInvariantError``.
 """
 
 import csv
@@ -22,7 +25,7 @@ from .errors import InstanceFormatError, MatrixInvariantError, UnknownIdError
 
 MAX_DIM = 64
 
-# pivot <= SINGULAR_PIVOT_REL * trace/dim  ->  log det is -inf
+# pivot <= SINGULAR_PIVOT_REL * a[j, j]  ->  log det is -inf
 SINGULAR_PIVOT_REL = 1e-12
 # pivot < -PSD_PIVOT_TOL * max(1, trace/dim)  ->  input was not PSD
 PSD_PIVOT_TOL = 1e-10
@@ -248,8 +251,8 @@ def gram(points, ids):
 def log_det_psd(m):
     """Log-determinant of a symmetric PSD matrix, ``-inf`` when singular.
 
-    Accepts a GramMatrix or a plain square ndarray.  Classification of
-    singular pivots is relative to trace/dim as described in the module
+    Accepts a GramMatrix or a plain square ndarray.  Singular pivots are
+    judged against their own diagonal entry as described in the module
     docstring; genuinely indefinite input raises MatrixInvariantError.
     """
     if isinstance(m, GramMatrix):
@@ -276,7 +279,6 @@ def logdet_psd_batch(mats):
     if nbatch == 0 or d == 0:
         return np.zeros(nbatch)
     tr = np.trace(a, axis1=1, axis2=2)
-    sing_cut = SINGULAR_PIVOT_REL * np.maximum(tr, 0.0) / d
     psd_tol = PSD_PIVOT_TOL * np.maximum(1.0, np.abs(tr) / d)
     out = np.zeros(nbatch)
     alive = np.ones(nbatch, dtype=bool)
@@ -289,7 +291,7 @@ def logdet_psd_batch(mats):
             raise MatrixInvariantError(
                 "matrix %d is not PSD: Cholesky pivot %.3e at step %d" % (b, pivot[b], j)
             )
-        dead = alive & (pivot <= sing_cut)
+        dead = alive & (pivot <= SINGULAR_PIVOT_REL * np.maximum(a[:, j, j], 0.0))
         out[dead] = -np.inf
         alive &= ~dead
         safe = np.where(alive, pivot, 1.0)

@@ -1,11 +1,11 @@
 """Distributed-pipeline simulation, scaling benchmark, property suites, CLI.
 
 ``run_distributed`` splits an instance across simulated machines, builds a
-coreset per machine concurrently (one worker per part), composes the
-coresets, solves on the composed set, and, where the enumeration guard
-allows, compares against the full-instance brute-force optimum.  The report
-keeps every wall-time under a single ``timings`` key so byte-level
-determinism of the remaining fields can be checked by rerunning.
+coreset per machine one after another, composes the coresets, solves on
+the composed set, and, where the enumeration guard allows, compares against
+the full-instance brute-force optimum.  The report keeps every wall-time
+under a single ``timings`` key so byte-level determinism of the remaining
+fields can be checked by rerunning.
 
 The module is also the CLI entry point (``detmax``), with subcommands gen,
 coreset, solve, compose, run, bench, and verify.
@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -27,6 +26,7 @@ import numpy as np
 from .coreset import (
     build_coreset,
     compose,
+    coreset_from_json,
     coreset_to_json,
     coreset_ids_from_json,
     find_laminar_exchange,
@@ -34,8 +34,14 @@ from .coreset import (
     laminar_coreset,
     peeling_coreset,
 )
-from .errors import GuardExceededError, PreconditionError
-from .geometry import load_pointset, load_pointset_csv, merge_pointsets
+from .errors import (
+    GuardExceededError,
+    InstanceFormatError,
+    InvariantError,
+    PreconditionError,
+    UnknownIdError,
+)
+from .geometry import merge_pointsets
 from .instances import (
     InstanceSpec,
     hard_instance,
@@ -164,9 +170,10 @@ def run_distributed(
     construction.  ``oracle`` is "auto" (brute force the full instance when
     C(n, k) fits the cap), "skip", or "force".
 
-    When both optima are available the report's log ratio is asserted to be
+    When both optima are available the report's log ratio must be
     sandwiched in [-1e-9, 2*ell*log(zeta*ell) + 1e-9], and feasibility on
-    the coreset must match feasibility on the full instance.
+    the coreset must match feasibility on the full instance; either failure
+    raises InvariantError.
     """
     if not isinstance(m_parts, int) or m_parts < 1:
         raise PreconditionError("m_parts must be a positive int, got %r" % (m_parts,))
@@ -191,31 +198,23 @@ def run_distributed(
                 {"part": idx, "size": len(ids), "coreset_size": len(ids), "declared_bound": None}
             )
     elif coreset_mode == "peel":
-        nonempty = [(idx, ids) for idx, ids in enumerate(part_ids) if ids]
-        with ThreadPoolExecutor(max_workers=max(1, len(nonempty))) as pool:
-            built = list(
-                pool.map(
-                    lambda pair: (pair[0], build_coreset(points, pair[1], constraint, zeta, regime)),
-                    nonempty,
-                )
-            )
-        by_idx = dict(built)
+        built = []
         for idx, ids in enumerate(part_ids):
-            if idx in by_idx:
-                cs = by_idx[idx]
-                warnings.extend("part %d: %s" % (idx, w) for w in cs.warnings)
-                part_rows.append(
-                    {
-                        "part": idx,
-                        "size": len(ids),
-                        "coreset_size": len(cs.ids),
-                        "declared_bound": cs.declared_bound,
-                    }
-                )
-            else:
+            if not ids:
                 part_rows.append({"part": idx, "size": 0, "coreset_size": 0, "declared_bound": 0})
-        composed = compose([cs for _, cs in built]) if built else None
-        composed_ids = sorted(composed.ids) if composed else []
+                continue
+            cs = build_coreset(points, ids, constraint, zeta, regime)
+            built.append(cs)
+            warnings.extend("part %d: %s" % (idx, w) for w in cs.warnings)
+            part_rows.append(
+                {
+                    "part": idx,
+                    "size": len(ids),
+                    "coreset_size": len(cs.ids),
+                    "declared_bound": cs.declared_bound,
+                }
+            )
+        composed_ids = sorted(compose(built).ids) if built else []
     else:
         raise PreconditionError("coreset_mode must be 'peel' or 'full', got %r" % (coreset_mode,))
     timings["coreset"] = time.perf_counter() - t0
@@ -243,16 +242,19 @@ def run_distributed(
     bound_log = 2.0 * ell * math.log(zeta * ell)
     ratio = None
     if oracle_tag != "skipped":
-        assert solved.feasible == full_feasible, "coreset feasibility must match full instance"
+        if solved.feasible != full_feasible:
+            raise InvariantError("coreset feasibility must match full instance")
         if full_value == -math.inf and solved.log_value == -math.inf:
             ratio = 0.0
         elif full_feasible:
             ratio = full_value - solved.log_value
         if ratio is not None and solved.method == "brute_force":
-            assert ratio >= -1e-9, "coreset optimum exceeded full optimum: ratio %r" % ratio
-            assert ratio <= bound_log + 1e-9, (
-                "approximation bound violated: ratio %r > bound %r" % (ratio, bound_log)
-            )
+            if ratio < -1e-9:
+                raise InvariantError("coreset optimum exceeded full optimum: ratio %r" % ratio)
+            if ratio > bound_log + 1e-9:
+                raise InvariantError(
+                    "approximation bound violated: ratio %r > bound %r" % (ratio, bound_log)
+                )
     return RunReport(
         instance={"n": len(points), "d": d, "k": k, "kind": constraint.kind},
         config={
@@ -584,16 +586,6 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_points_any(path):
-    if path.endswith(".csv"):
-        with open(path) as fh:
-            return load_pointset_csv(fh), None, {}
-    doc = _load_json(path)
-    if "constraint" in doc:
-        return load_instance(doc)
-    return load_pointset(doc), None, {}
-
-
 def _int_list(text):
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
@@ -677,9 +669,7 @@ def _cmd_gen(args):
 
 
 def _cmd_coreset(args):
-    points, constraint, _ = _load_points_any(args.instance)
-    if constraint is None:
-        raise PreconditionError("instance file carries no constraint; use `detmax gen`")
+    points, constraint, _ = load_instance(_load_json(args.instance))
     cs = build_coreset(points, points.ids, constraint, args.zeta, args.regime)
     _dump_json(coreset_to_json(cs), args.out)
     for w in cs.warnings:
@@ -688,9 +678,7 @@ def _cmd_coreset(args):
 
 
 def _cmd_solve(args):
-    points, constraint, _ = _load_points_any(args.instance)
-    if constraint is None:
-        raise PreconditionError("instance file carries no constraint; use `detmax gen`")
+    points, constraint, _ = load_instance(_load_json(args.instance))
     if args.coreset:
         ids = coreset_ids_from_json(_load_json(args.coreset))
     else:
@@ -701,40 +689,13 @@ def _cmd_solve(args):
 
 
 def _cmd_compose(args):
-    docs = [_load_json(p) for p in args.coresets]
-    for doc in docs:
-        for key in ("ids", "regime", "zeta", "ell", "source"):
-            if key not in doc:
-                raise PreconditionError("coreset file missing %r field" % key)
-    zetas = {doc["zeta"] for doc in docs}
-    ells = {doc["ell"] for doc in docs}
-    regimes = {doc["regime"] for doc in docs}
-    if len(zetas) > 1 or len(ells) > 1 or len(regimes) > 1:
-        raise PreconditionError("coresets disagree on zeta/ell/regime; cannot compose")
-    seen = set()
-    for doc in docs:
-        src = set(doc["source"])
-        if src & seen:
-            raise PreconditionError("coreset sources overlap; composition needs a partition")
-        seen |= src
-    union = sorted(set().union(*[set(doc["ids"]) for doc in docs]))
-    out = {
-        "regime": regimes.pop(),
-        "ids": union,
-        "layers": [layer for doc in docs for layer in doc.get("layers", [])],
-        "declared_bound": sum(doc.get("declared_bound") or 0 for doc in docs),
-        "zeta": zetas.pop(),
-        "ell": ells.pop(),
-        "source": sorted(seen),
-    }
-    _dump_json(out, args.out)
+    parts = [coreset_from_json(_load_json(p)) for p in args.coresets]
+    _dump_json(coreset_to_json(compose(parts)), args.out)
     return 0
 
 
 def _cmd_run(args):
-    points, constraint, _ = _load_points_any(args.instance)
-    if constraint is None:
-        raise PreconditionError("instance file carries no constraint; use `detmax gen`")
+    points, constraint, _ = load_instance(_load_json(args.instance))
     report = run_distributed(
         points,
         constraint,
@@ -870,7 +831,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionError, GuardExceededError) as exc:
+    except (
+        PreconditionError,
+        GuardExceededError,
+        InstanceFormatError,
+        UnknownIdError,
+        OSError,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

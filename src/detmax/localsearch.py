@@ -23,13 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SwapLimitError
-from .geometry import logdet_psd_batch
+from .geometry import SINGULAR_PIVOT_REL, logdet_psd_batch
 
 DEFAULT_ZETA = 1.01
 SWAP_LIMIT = 10**6
-
-# relative residual below which a vector counts as already spanned (seeding only)
-_RESIDUAL_REL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,13 @@ def _sorted_working_set(points, V):
 def _greedy_positions(X, take):
     """Greedy max-residual selection of ``take`` row indices of X.
 
-    Ties go to the lowest index.  Vectors already spanned (relative residual
-    below 1e-12) extend the selection without extending the basis.
+    Ties go to the lowest index.  A vector whose residual is at most
+    SINGULAR_PIVOT_REL times its own squared norm counts as already spanned
+    and extends the selection without extending the basis.
     """
     n, d = X.shape
     res = np.einsum("ij,ij->i", X, X).astype(float)
-    scale = float(res.max()) if n else 0.0
-    tol = _RESIDUAL_REL_EPS * max(scale, 1e-300)
+    cut = SINGULAR_PIVOT_REL * res
     basis = np.zeros((take, d))
     nbasis = 0
     available = np.ones(n, dtype=bool)
@@ -88,10 +85,10 @@ def _greedy_positions(X, take):
         pos = int(np.argmax(masked))
         picked.append(pos)
         available[pos] = False
-        if res[pos] > tol and nbasis < d:
+        if res[pos] > cut[pos] and nbasis < d:
             v = X[pos] - basis[:nbasis].T @ (basis[:nbasis] @ X[pos])
             norm = float(np.linalg.norm(v))
-            if norm * norm > tol:
+            if norm * norm > cut[pos]:
                 q = v / norm
                 basis[nbasis] = q
                 nbasis += 1
@@ -126,7 +123,7 @@ def _sweep_once(X, cur_pos, in_cur):
         if rest:
             q, r = np.linalg.qr(X[rest].T, mode="reduced")
             diag = np.abs(np.diag(r))
-            if np.any(diag <= 0.0):
+            if np.any(diag * diag <= SINGULAR_PIVOT_REL * norms[rest]):
                 continue
             base = 2.0 * float(np.log(diag).sum())
             proj = X @ q

@@ -1,9 +1,9 @@
 """Cardinality, partition, and laminar matroid constraints.
 
 A constraint object knows its ground set of ids and answers independence
-queries.  The partition constraint is stored as a laminar family with one
-set per group internally (the recursion and the rank computation are then
-shared), while the JSON schema keeps the two types distinct.
+queries.  A partition keeps one id-set and cap per group; a laminar family
+is kept as a forest of nested sets.  Each kind computes its own rank and
+independence, and the JSON schema keeps the kinds distinct.
 
 Rank here is the achievable one: the size of a maximum independent subset of
 the ground set.  On sane instances (every group at least as large as its
@@ -186,13 +186,6 @@ class LaminarConstraint:
     def cap_of(self, i):
         return self._sets[i][1]
 
-    def root_containing(self, pid):
-        """Index of the maximal family set containing pid, or None."""
-        for i in self._roots:
-            if pid in self._sets[i][0]:
-                return i
-        return None
-
     def child_containing(self, i, pid):
         """The child of node i whose set contains pid, or None."""
         for j in self._children[i]:
@@ -216,8 +209,6 @@ class PartitionConstraint:
     """Per-group caps: at most caps[g] elements from group g.
 
     ``groups`` maps every ground id to its group label in 0..len(caps)-1.
-    Internally the groups become a one-level laminar family so rank and
-    feasibility share one code path; group lookups stay O(1).
     """
 
     kind = "partition"
@@ -251,8 +242,6 @@ class PartitionConstraint:
                 warnings.append("group %d has cap 0; its %d point(s) are unselectable" % (g, len(members[g])))
         self.warnings = tuple(warnings)
         self._parts = {g: frozenset(p) for g, p in members.items()}
-        fam = [(p, caps[g]) for g, p in sorted(self._parts.items())]
-        self._laminar = LaminarConstraint(fam, self.ground) if fam else None
         self._rank = sum(min(caps[g], len(p)) for g, p in self._parts.items())
 
     @property

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from detmax import (
     WeightProfile,
     build_coreset,
     compose,
+    coreset_from_json,
     coreset_ids_from_json,
     coreset_to_json,
     enumerate_bases,
@@ -314,3 +316,30 @@ class TestCoresetJson:
         assert doc["ell"] == cs.ell
         assert sorted(doc["ids"]) == sorted(cs.ids)
         assert coreset_ids_from_json(doc) == sorted(cs.ids)
+
+    def _halves(self):
+        ps = _rand_ps(72, 30, 3)
+        constraint = CardinalityConstraint(5, ps.ids)
+        return [build_coreset(ps, part, constraint, 1.01, "auto")
+                for part in (range(15), range(15, 30))]
+
+    def test_read_back_composes_like_the_original(self):
+        halves = self._halves()
+        back = [coreset_from_json(json.loads(json.dumps(coreset_to_json(cs)))) for cs in halves]
+        assert back[0].layer_lists() == halves[0].layer_lists()
+        assert coreset_to_json(compose(back)) == coreset_to_json(compose(halves))
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", None), ("kind", "matrix"), ("regime", "mid"), ("ids", [-1]),
+        ("ids", "0,1"), ("source", [0]), ("layers", [[999]]), ("layers", [0]),
+        ("declared_bound", -1), ("declared_bound", 2.5), ("ell", 0), ("ell", True),
+        ("zeta", 0.5), ("zeta", "1.01"),
+    ])
+    def test_read_back_rejects_bad_field(self, field, value):
+        doc = coreset_to_json(self._halves()[0])
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(PreconditionError):
+            coreset_from_json(doc)

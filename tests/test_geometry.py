@@ -152,6 +152,10 @@ class TestGramAndLogDet:
         got = log_det_psd(gram(ps, [0, 1]).entries)
         assert abs(got - 4 * math.log(m)) < 1e-9
 
+    def test_dynamic_range_is_not_singular(self):
+        # each pivot is judged against its own diagonal, not against trace/d
+        assert abs(log_det_psd(np.diag([1e14, 1.0])) - 14 * math.log(10.0)) < 1e-9
+
 
 class TestLoaders:
     def test_json_roundtrip(self, tmp_path):

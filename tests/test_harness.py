@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+import detmax.harness
 from detmax import (
+    CardinalityConstraint,
     InstanceSpec,
+    InvariantError,
     PreconditionError,
     bench_scaling,
     build_coreset,
@@ -68,6 +72,19 @@ class TestRunDistributed:
         assert json.dumps(_strip_timings(a), sort_keys=True) == json.dumps(
             _strip_timings(b), sort_keys=True
         )
+
+    def test_bound_violation_raises(self, monkeypatch):
+        # a raised check, so it also holds under `python -O`
+        points, constraint = _partition_instance()
+        true_opt = detmax.harness.brute_force_opt
+
+        def inflated(pts, cons):
+            res = true_opt(pts, cons)
+            return dataclasses.replace(res, log_value=res.log_value + 100.0)
+
+        monkeypatch.setattr(detmax.harness, "brute_force_opt", inflated)
+        with pytest.raises(InvariantError, match="approximation bound violated"):
+            run_distributed(points, constraint, 2, seed=0)
 
     def test_oracle_skip(self):
         points, constraint = _partition_instance(seed=11)
@@ -155,8 +172,40 @@ class TestCli:
         assert main(["compose", str(pa), str(pb), "--out", str(out)]) == 0
         union = json.loads(out.read_text())
         assert set(union["ids"]) == set(a.ids) | set(b.ids)
+        assert union["kind"] == "composed"
         # overlap rejection
         assert main(["compose", str(pa), str(pa), "--out", str(out)]) == 2
+
+    def test_compose_refuses_other_or_missing_kind(self, tmp_path):
+        points, constraint = _partition_instance(seed=20, n=16, d=2, caps=(1, 1))
+        a = coreset_to_json(build_coreset(points, list(range(8)), constraint, 1.01, "auto"))
+        card = CardinalityConstraint(2, points.ids)
+        b = coreset_to_json(build_coreset(points, list(range(8, 16)), card, 1.01, "auto"))
+        assert (a["ell"], a["regime"]) == (b["ell"], b["regime"])
+        pa, pb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "union.json"
+        pa.write_text(json.dumps(a))
+        pb.write_text(json.dumps(b))
+        assert main(["compose", str(pa), str(pb), "--out", str(out)]) == 2
+        del b["kind"]
+        pb.write_text(json.dumps(b))
+        assert main(["compose", str(pb), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("content", [
+        # InstanceFormatError: one coordinate in a dim-2 file
+        {"dim": 2, "points": [{"id": 0, "coords": [1.0]}],
+         "constraint": {"type": "cardinality", "k": 1}},
+        # UnknownIdError: a laminar set naming an id that has no point
+        {"dim": 2, "points": [{"id": 0, "coords": [1.0, 0.0]}],
+         "constraint": {"type": "laminar", "sets": [{"ids": [9], "cap": 1}]}},
+        "dim: 2",
+        None,
+    ], ids=["short-point", "unknown-id", "not-json", "missing-file"])
+    def test_input_errors_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "inst.json"
+        if content is not None:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        assert main(["run", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_verify_single_suite(self, capsys):
         assert main(["verify", "--suite", "cauchy-binet"]) == 0

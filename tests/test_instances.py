@@ -72,7 +72,7 @@ class TestRandomInstance:
 class TestLowDimLowerBound:
     def test_frozen_opt_value(self):
         # brute force on the 6-point instance: the planted optimum is M**2
-        for M in (10.0, 100.0, 1000.0):
+        for M in (10.0, 100.0, 1000.0, 1e7, 1e10):
             v, vp, constraint = lb_low_dim_instance(2, (1, 1), 2, M)
             whole = merge_pointsets(v, vp)
             opt = brute_force_opt(whole, constraint)
@@ -121,6 +121,13 @@ class TestLowDimLowerBound:
 
 
 class TestHighDimLowerBound:
+    def test_frozen_opt_value(self):
+        # M * e_1 plus the top group's 100 * e_0 and a unit vector along e_0
+        for M in (1e5, 1e10):
+            v, vp, cons = lb_high_dim_instance(3, 2, (100.0, 10.0, 1.0), M)
+            opt = brute_force_opt(merge_pointsets(v, vp), cons).log_value
+            assert abs(opt - (2 * math.log(M) + math.log(100.0**2 + 1.0))) < 1e-9
+
     def test_frozen_drop_penalty(self):
         ms = (100.0, 10.0, 1.0)
         v, vp, cons = lb_high_dim_instance(3, 2, ms, 1e5)
