@@ -533,4 +533,6 @@ def coreset_ids_from_json(doc):
     """Read back the id list (the part solvers need) from the schema."""
     if not isinstance(doc, dict) or "ids" not in doc:
         raise PreconditionError("coreset document needs an 'ids' list")
-    return sorted(int(i) for i in doc["ids"])
+    if not _is_id_list(doc["ids"]):
+        raise PreconditionError("coreset ids must be a list of non-negative int ids")
+    return sorted(doc["ids"])

@@ -586,12 +586,16 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _number_list(text, kind):
+    """Parse comma-separated numbers; a token ``kind`` rejects is an input error."""
+    out = []
+    for token in text.split(","):
+        if token.strip() != "":
+            try:
+                out.append(kind(token))
+            except ValueError:
+                raise PreconditionError("bad %s %r in %r" % (kind.__name__, token, text)) from None
+    return out
 
 
 def _cmd_gen(args):
@@ -601,7 +605,7 @@ def _cmd_gen(args):
         elif args.constraint == "partition":
             if not args.caps:
                 raise PreconditionError("partition generation needs --caps")
-            cdoc = {"type": "partition", "caps": _int_list(args.caps)}
+            cdoc = {"type": "partition", "caps": _number_list(args.caps, int)}
         elif args.constraint == "laminar":
             if not args.laminar_sets:
                 raise PreconditionError("laminar generation needs --laminar-sets JSON")
@@ -610,14 +614,14 @@ def _cmd_gen(args):
             raise PreconditionError("unknown constraint kind %r" % (args.constraint,))
         k = args.k if args.constraint == "cardinality" else None
         spec = InstanceSpec(
-            "random", args.n, args.d, k or sum(_int_list(args.caps or "0")) or args.k,
+            "random", args.n, args.d, k or sum(_number_list(args.caps or "0", int)) or args.k,
             cdoc, args.seed, {"coord_mode": args.coord_mode},
         )
         points, constraint = random_instance(spec)
         doc = instance_to_json(points, constraint, {"generator": "random", "spec": spec.to_json()})
     elif args.generator == "lb-low-dim":
-        caps = tuple(_int_list(args.caps))
-        perm = tuple(_int_list(args.perm)) if args.perm else None
+        caps = tuple(_number_list(args.caps, int))
+        perm = tuple(_number_list(args.perm, int)) if args.perm else None
         v, vp, constraint = lb_low_dim_instance(
             len(caps), caps, args.d, args.M, args.probe, perm
         )
@@ -633,7 +637,7 @@ def _cmd_gen(args):
             },
         )
     elif args.generator == "lb-high-dim":
-        ms = tuple(_float_list(args.Ms))
+        ms = tuple(_number_list(args.Ms, float))
         v, vp, constraint = lb_high_dim_instance(args.k, args.d, ms, args.M, args.probe)
         doc = instance_to_json(
             merge_pointsets(v, vp),
@@ -719,7 +723,7 @@ def _cmd_run(args):
 
 def _cmd_bench(args):
     rows = bench_scaling(
-        args.d, args.k, _int_list(args.n_list), args.seed, args.s,
+        args.d, args.k, _number_list(args.n_list, int), args.seed, args.s,
         args.zeta, args.repeats,
     )
     buf = io.StringIO()

@@ -6,15 +6,18 @@ member for one outsider multiplies the squared volume by more than zeta.
 Seeding is greedy (largest residual first), then best-improvement swaps run
 until no exchange clears the zeta threshold.
 
-Determinism: candidate ids are scanned in ascending order and a swap is
-adopted only when strictly better than the best found so far, so ties
-resolve to the smallest outgoing id, then the smallest incoming id.  Reruns
-on the same input produce the same selection.
+Determinism: each sweep adopts the exchange with the largest volume ratio,
+ties resolving to the smallest outgoing id, then the smallest incoming id.
+Reruns on the same input produce the same selection.
 
-Every candidate evaluation is vectorized: for a fixed outgoing element the
-values nu(U - e + f) over all f factor into nu(U - e) plus the log squared
-distance of f from span(U - e), computed for all f at once against an
-orthonormal basis.
+One sweep scores every exchange at once in closed form.  With A the rows of
+U, G = A A^T, B = X A^T and C = B G^-1, the exchange of member e for
+outsider f multiplies the squared volume by
+
+    det G(U - e + f) / det G(U) = C[f, e]^2 + |P_U^perp f|^2 * (G^-1)[e, e],
+
+where |P_U^perp f|^2 = |f|^2 - sum_j B[f, j] C[f, j] is the squared distance
+of f from span(U).  G^-1 is recomputed from scratch on every sweep.
 """
 
 import math
@@ -58,11 +61,6 @@ def _nu_rows(rows):
 
 def _sorted_working_set(points, V):
     ids = sorted(set(V))
-    missing = [i for i in ids if i not in points]
-    if missing:
-        from .errors import UnknownIdError
-
-        raise UnknownIdError("no point with id %r" % (missing[0],))
     return ids, points.rows(ids)
 
 
@@ -113,32 +111,19 @@ def greedy_init(points, V, ell):
     return tuple(ids[p] for p in picked)
 
 
-def _sweep_once(X, cur_pos, in_cur):
-    """One best-improvement pass; returns (best_val, (out_pos, in_pos))."""
-    norms = np.einsum("ij,ij->i", X, X)
-    best_val = -math.inf
-    best = None
-    for out in cur_pos:  # ascending id order
-        rest = [p for p in cur_pos if p != out]
-        if rest:
-            q, r = np.linalg.qr(X[rest].T, mode="reduced")
-            diag = np.abs(np.diag(r))
-            if np.any(diag * diag <= SINGULAR_PIVOT_REL * norms[rest]):
-                continue
-            base = 2.0 * float(np.log(diag).sum())
-            proj = X @ q
-            resid = np.maximum(norms - np.einsum("ij,ij->i", proj, proj), 0.0)
-        else:
-            base = 0.0
-            resid = norms.copy()
-        with np.errstate(divide="ignore"):
-            vals = base + np.log(resid)
-        vals[in_cur] = -np.inf
-        f = int(np.argmax(vals))
-        if vals[f] > best_val:
-            best_val = float(vals[f])
-            best = (out, f)
-    return best_val, best
+def _exchange_ratios(X, norms, cur_pos):
+    """det G(U - e + f) / det G(U) for every row f of X and member e = cur_pos[j].
+
+    Row f, column j; ``norms`` holds the squared row norms of X.
+    """
+    A = X[cur_pos]
+    g_inv = np.linalg.inv(A @ A.T)
+    B = X @ A.T
+    C = B @ g_inv
+    resid = np.maximum(norms - np.einsum("ij,ij->i", B, C), 0.0)
+    ratio = np.multiply(C, C, out=B)  # B is spent; its n x ell buffer is reused
+    ratio += resid[:, None] * np.diag(g_inv)
+    return ratio
 
 
 def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
@@ -149,8 +134,8 @@ def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
     points : PointSet
     V : working id-set to search within
     ell : selection size (<= dim); if |V| < ell the whole of V is returned
-    zeta : acceptance threshold, a swap must beat the current volume by a
-        factor above zeta (checked in log domain); zeta >= 1
+    zeta : acceptance threshold, a swap must multiply the squared volume
+        by a factor above zeta; zeta >= 1
     swap_limit : hard cap on accepted swaps, exceeded -> SwapLimitError
 
     Returns a LocalOptResult.  A working set of deficient rank yields a
@@ -173,18 +158,17 @@ def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
         return LocalOptResult(
             tuple(ids[p] for p in cur_pos), val, ell, zeta, 0, val == -math.inf
         )
-    log_zeta = math.log(zeta)
+    norms = np.einsum("ij,ij->i", X, X)
     swaps = 0
-    in_cur = np.zeros(len(ids), dtype=bool)
-    in_cur[cur_pos] = True
     while True:
-        best_val, best = _sweep_once(X, cur_pos, in_cur)
-        if best is None or not best_val > val + log_zeta:
+        ratio = _exchange_ratios(X, norms, cur_pos)
+        ratio[cur_pos] = -np.inf
+        best = ratio.max(axis=0)
+        j = int(np.argmax(best))  # ties: smallest out id
+        if not best[j] > zeta:
             break
-        out, into = best
-        in_cur[out] = False
-        in_cur[into] = True
-        cur_pos = sorted([p for p in cur_pos if p != out] + [into])
+        into = int(np.argmax(ratio[:, j]))  # ties: smallest in id
+        cur_pos = sorted(cur_pos[:j] + cur_pos[j + 1:] + [into])
         val = _nu_rows(X[cur_pos])
         swaps += 1
         if swaps > swap_limit:

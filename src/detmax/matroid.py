@@ -13,7 +13,7 @@ of exactly rank elements.
 
 import math
 import os
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -298,7 +298,8 @@ def is_base(constraint, S):
 def enumerate_bases(constraint, points):
     """Yield every base within ``points`` as a sorted tuple, in lex order.
 
-    Equivalent to filtering all C(n, k) subsets through :func:`is_base`.
+    Equivalent to filtering all C(n, k) subsets through :func:`is_base`;
+    partition bases are built directly as products of per-group choices.
     Refuses to start when C(n, k) exceeds the oracle cap (10**6 by default,
     DETMAX_ORACLE_CAP overrides).
     """
@@ -312,12 +313,30 @@ def enumerate_bases(constraint, points):
             % (len(ids), k, total, cap, ORACLE_CAP_ENV)
         )
 
+    if constraint.kind == "partition":
+        return _partition_bases(constraint, ids)
+
     def _gen():
         for combo in combinations(ids, k):
             if is_base(constraint, combo):
                 yield combo
 
     return _gen()
+
+
+def _partition_bases(constraint, ids):
+    """Bases within sorted ``ids``: min(cap, group size) members of every group."""
+    stray = set(ids) - constraint.ground
+    if stray:
+        raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
+    members = [[] for _ in constraint.caps]
+    for pid in ids:
+        members[constraint.groups[pid]].append(pid)
+    choices = [
+        combinations(m, min(cap, len(constraint.part_ids(g))))
+        for g, (m, cap) in enumerate(zip(members, constraint.caps))
+    ]
+    yield from sorted(tuple(sorted(chain.from_iterable(p))) for p in product(*choices))
 
 
 def cover_number(constraint):

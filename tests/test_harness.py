@@ -124,6 +124,9 @@ class TestSuites:
             run_suites("nonexistent")
 
 
+RUN = ["run", "--instance", "{path}"]  # argv of a run on the test's instance file
+
+
 class TestCli:
     def _gen(self, tmp_path, name="inst.json", extra=()):
         path = tmp_path / name
@@ -190,22 +193,35 @@ class TestCli:
         pb.write_text(json.dumps(b))
         assert main(["compose", str(pb), "--out", str(out)]) == 2
 
-    @pytest.mark.parametrize("content", [
+    @pytest.mark.parametrize("content, argv", [
         # InstanceFormatError: one coordinate in a dim-2 file
-        {"dim": 2, "points": [{"id": 0, "coords": [1.0]}],
-         "constraint": {"type": "cardinality", "k": 1}},
+        ({"dim": 2, "points": [{"id": 0, "coords": [1.0]}],
+          "constraint": {"type": "cardinality", "k": 1}}, RUN),
         # UnknownIdError: a laminar set naming an id that has no point
-        {"dim": 2, "points": [{"id": 0, "coords": [1.0, 0.0]}],
-         "constraint": {"type": "laminar", "sets": [{"ids": [9], "cap": 1}]}},
-        "dim: 2",
-        None,
-    ], ids=["short-point", "unknown-id", "not-json", "missing-file"])
-    def test_input_errors_exit_2(self, tmp_path, capsys, content):
+        ({"dim": 2, "points": [{"id": 0, "coords": [1.0, 0.0]}],
+          "constraint": {"type": "laminar", "sets": [{"ids": [9], "cap": 1}]}}, RUN),
+        ("dim: 2", RUN),
+        (None, RUN),
+        # PreconditionError: a list flag with a token that is not a number
+        (None, ["gen", "--constraint", "partition", "--caps", "2,x"]),
+        (None, ["gen", "--generator", "lb-low-dim", "--caps", "1,1", "--d", "2", "--perm", "0,y"]),
+        (None, ["gen", "--generator", "lb-high-dim", "--k", "3", "--d", "2", "--Ms", "100,ten,1"]),
+    ], ids=["short-point", "unknown-id", "not-json", "missing-file", "caps", "perm", "Ms"])
+    def test_input_errors_exit_2(self, tmp_path, capsys, content, argv):
         path = tmp_path / "inst.json"
         if content is not None:
             path.write_text(content if isinstance(content, str) else json.dumps(content))
-        assert main(["run", "--instance", str(path)]) == 2
+        argv = [str(path) if a == "{path}" else a for a in argv] + ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_solve_coreset_with_non_int_ids_exit_2(self, tmp_path, capsys):
+        inst = self._gen(tmp_path)
+        for ids in (["a"], [True], [-1], [1.0]):
+            cs = tmp_path / "bad.json"
+            cs.write_text(json.dumps({"ids": ids}))
+            assert main(["solve", "--instance", str(inst), "--coreset", str(cs)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_verify_single_suite(self, capsys):
         assert main(["verify", "--suite", "cauchy-binet"]) == 0

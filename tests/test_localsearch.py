@@ -13,6 +13,7 @@ from detmax import (
     nu,
     verify_local_opt,
 )
+from detmax.localsearch import _exchange_ratios
 
 
 def _ps(vectors):
@@ -157,6 +158,55 @@ class TestLocalOpt:
                 found = True
                 break
         assert found
+
+
+class TestExchangeRatios:
+    @pytest.mark.parametrize("n, d, ell", [(12, 5, 3), (10, 4, 4)], ids=["ell<d", "ell=d"])
+    def test_matches_volumes_from_scratch(self, n, d, ell):
+        # every (e, f) entry is exp(nu(U - e + f) - nu(U)); a member f = e
+        # scores 1 and any other member 0, since U - e + f repeats a row
+        for seed in range(5):
+            ps = _rand_ps(500 + seed, n, d)
+            X = ps.rows(ps.ids)
+            rng = np.random.default_rng(seed)
+            cur = sorted(int(p) for p in rng.choice(n, ell, replace=False))
+            ratio = _exchange_ratios(X, np.einsum("ij,ij->i", X, X), cur)
+            base = nu(ps, cur)
+            for j, e in enumerate(cur):
+                for f in range(n):
+                    if f in cur:
+                        want = 1.0 if f == e else 0.0
+                        assert ratio[f, j] == pytest.approx(want, abs=1e-9)
+                    else:
+                        swapped = [x for x in cur if x != e] + [f]
+                        want = math.exp(nu(ps, swapped) - base)
+                        assert ratio[f, j] == pytest.approx(want, rel=1e-9)
+
+    def test_clustered_instance_many_swaps(self):
+        # greedy seeds several points near the same centres, so the search
+        # makes many exchanges; its end point must pass the exhaustive check
+        rng = np.random.default_rng(3)
+        n, d = 300, 16
+        centres = 3.0 * rng.standard_normal((20, d))
+        X = centres[rng.integers(0, 20, n)] + 0.3 * rng.standard_normal((n, d))
+        ps = PointSet(d, [(i, X[i], None) for i in range(n)])
+        res = local_opt(ps, ps.ids, d, 1.01)
+        assert res.swap_count >= 10
+        assert verify_local_opt(ps, ps.ids, res.ids, 1.01) is None
+        assert res.value == pytest.approx(nu(ps, list(res.ids)), abs=1e-9)
+
+    def test_exact_tie_takes_smallest_out_then_smallest_in(self):
+        # greedy seeds {0, 1, 3}; exchanging out 0 or 3 for in 2 or its
+        # duplicate 4 all multiply the squared volume by exactly 9/4, and
+        # every quantity in the sweep is a small dyadic rational, so the tie
+        # is exact in floating point too.  Out 0, in 2 must win.
+        ps = _ps([(0, 2, -2), (-2, -1, 1), (1, -1, -2), (2, -2, 0), (1, -1, -2)])
+        assert sorted(greedy_init(ps, ps.ids, 3)) == [0, 1, 3]
+        X = ps.rows(ps.ids)
+        ratio = _exchange_ratios(X, np.einsum("ij,ij->i", X, X), [0, 1, 3])
+        assert ratio[2, 0] == ratio[4, 0] == ratio[2, 2] == ratio[4, 2] == 2.25
+        res = local_opt(ps, ps.ids, 3, 1.01)
+        assert (res.ids, res.swap_count) == ((1, 2, 3), 1)
 
 
 class TestVerifyLocalOpt:

@@ -110,6 +110,22 @@ class TestPartition:
         }
         assert got == expected
 
+    def test_enumerate_bases_equals_filter_in_order(self):
+        # the direct product must list exactly the filtered subsets, in lex
+        # order: random labels over a cap-0 group, a group with fewer members
+        # than its cap, and point sets that leave some group short of its need
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            n = int(rng.integers(4, 11))
+            labels = [int(g) for g in rng.integers(0, 3, n)]
+            labels[0] = 3  # group 3: one member, cap 2
+            groups = {i: labels[i] for i in range(n)}
+            c = PartitionConstraint((int(rng.integers(0, 3)), 1, 0, 2), groups)
+            keep = sorted(i for i in range(n) if trial < 10 or rng.random() < 0.8)
+            ps = PointSet(2, [(i, np.array([float(i), 1.0]), labels[i]) for i in keep])
+            expected = [s for s in combinations(keep, rank(c)) if is_base(c, s)]
+            assert list(enumerate_bases(c, ps)) == expected
+
     def test_part_accessors(self):
         groups = {0: 0, 1: 1, 2: 0}
         c = PartitionConstraint((1, 1), groups)
