@@ -32,12 +32,9 @@ from .errors import (
     UnknownIdError,
 )
 from .geometry import (
-    GramMatrix,
     MAX_DIM,
     PointSet,
-    gram,
     load_pointset,
-    load_pointset_csv,
     log_det_psd,
     logdet_psd_batch,
     merge_pointsets,
@@ -104,7 +101,9 @@ from .instances import (
     load_instance,
     random_instance,
 )
-from .harness import RunReport, bench_scaling, main, run_distributed, run_suites
+from .harness import RunReport, bench_scaling, run_distributed
+from .properties import run_suites
+from .cli import main
 
 __version__ = "0.1.0"
 
@@ -114,7 +113,6 @@ __all__ = [
     "DEFAULT_ORACLE_CAP",
     "DEFAULT_ZETA",
     "ENUMERATION_CAP",
-    "GramMatrix",
     "GuardExceededError",
     "HardInstance",
     "InstanceFormatError",
@@ -151,7 +149,6 @@ __all__ = [
     "enumerate_bases",
     "find_laminar_exchange",
     "find_value_preserving_exchange",
-    "gram",
     "greedy_constrained",
     "greedy_init",
     "hard_instance",
@@ -163,7 +160,6 @@ __all__ = [
     "lb_low_dim_instance",
     "load_instance",
     "load_pointset",
-    "load_pointset_csv",
     "local_opt",
     "log_det_psd",
     "logdet_psd_batch",

@@ -16,9 +16,6 @@ the negative tolerance mean the input was not PSD to begin with and raise
 ``MatrixInvariantError``.
 """
 
-import csv
-import io
-
 import numpy as np
 
 from .errors import InstanceFormatError, MatrixInvariantError, UnknownIdError
@@ -179,89 +176,19 @@ def load_pointset(doc):
     return PointSet(dim, items)
 
 
-def load_pointset_csv(text):
-    """Parse the CSV alternative: header ``id,group,c0,...,c{d-1}``.
-
-    An empty group field means unlabeled.  Accepts a string or a file-like
-    object opened in text mode.
-    """
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InstanceFormatError("empty CSV document") from None
-    header = [h.strip() for h in header]
-    if len(header) < 3 or header[0] != "id" or header[1] != "group":
-        raise InstanceFormatError("CSV header must start with id,group,c0,...")
-    expected = ["c%d" % j for j in range(len(header) - 2)]
-    if header[2:] != expected:
-        raise InstanceFormatError("CSV coordinate columns must be c0..c%d" % (len(header) - 3))
-    dim = len(header) - 2
-    items = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != dim + 2:
-            raise InstanceFormatError("CSV line %d has %d fields, expected %d" % (lineno, len(row), dim + 2))
-        try:
-            pid = int(row[0])
-            group = int(row[1]) if row[1].strip() != "" else None
-            coords = [float(v) for v in row[2:]]
-        except ValueError:
-            raise InstanceFormatError("CSV line %d has a malformed field" % lineno) from None
-        items.append((pid, coords, group))
-    return PointSet(dim, items)
-
-
-class GramMatrix:
-    """A validated symmetric matrix wrapper produced by :func:`gram`."""
-
-    def __init__(self, dim, entries):
-        entries = np.asarray(entries, dtype=float)
-        if entries.shape != (dim, dim):
-            raise MatrixInvariantError("expected a %d x %d matrix, got %r" % (dim, dim, entries.shape))
-        _check_symmetry(entries)
-        self.dim = dim
-        self.entries = entries.copy()
-        self.entries.setflags(write=False)
-
-    def __repr__(self):
-        return "GramMatrix(dim=%d)" % self.dim
-
-
-def _check_symmetry(a):
-    skew = np.abs(a - a.T).max() if a.size else 0.0
-    tol = SYMMETRY_TOL * max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if skew > tol:
-        raise MatrixInvariantError("matrix is not symmetric (max skew %.3e)" % skew)
-
-
-def gram(points, ids):
-    """Sum of outer products v_i v_i^T over ``ids`` (repeats contribute again).
-
-    Returns a GramMatrix of shape (dim, dim).  The empty selection gives the
-    zero matrix.
-    """
-    rows = points.rows(list(ids))
-    return GramMatrix(points.dim, rows.T @ rows)
-
-
 def log_det_psd(m):
     """Log-determinant of a symmetric PSD matrix, ``-inf`` when singular.
 
-    Accepts a GramMatrix or a plain square ndarray.  Singular pivots are
-    judged against their own diagonal entry as described in the module
-    docstring; genuinely indefinite input raises MatrixInvariantError.
+    Singular pivots are judged against their own diagonal entry as
+    described in the module docstring; genuinely indefinite input raises
+    MatrixInvariantError.
     """
-    if isinstance(m, GramMatrix):
-        a = m.entries
-    else:
-        a = np.asarray(m, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise MatrixInvariantError("expected a square matrix, got shape %r" % (a.shape,))
-        _check_symmetry(a)
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise MatrixInvariantError("expected a square matrix, got shape %r" % (a.shape,))
+    skew = np.abs(a - a.T).max() if a.size else 0.0
+    if skew > SYMMETRY_TOL * max(1.0, float(np.abs(a).max()) if a.size else 0.0):
+        raise MatrixInvariantError("matrix is not symmetric (max skew %.3e)" % skew)
     return float(logdet_psd_batch(a[None, :, :])[0])
 
 

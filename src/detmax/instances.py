@@ -86,6 +86,8 @@ def random_instance(spec):
     ctype = spec.constraint.get("type")
     if ctype == "partition":
         caps = spec.constraint["caps"]
+        if not caps:
+            raise PreconditionError("partition instance needs at least one group cap, got %r" % (caps,))
         groups = [i % len(caps) for i in range(spec.n)]
     else:
         groups = [None] * spec.n
@@ -126,26 +128,16 @@ def lb_low_dim_instance(s, caps, d, M, probe_part=0, perm=None):
     if not M > 1:
         raise PreconditionError("M must exceed 1, got %r" % (M,))
     eye = np.eye(d)
-    base_items = []
-    for i in range(s):
-        for j in range(d):
-            base_items.append((i * d + j, eye[j], i))
-    v_points = PointSet(d, base_items)
+    base_items = [(i * d + j, eye[j], i) for i in range(s) for j in range(d)]
     adv_items = []
-    next_id = s * d
     slot = caps[probe_part] - 1
     for j in range(s):
         if j == probe_part:
             continue
         for _ in range(caps[j]):
-            adv_items.append((next_id, M * eye[perm[slot]], j))
-            next_id += 1
+            adv_items.append((s * d + len(adv_items), M * eye[perm[slot]], j))
             slot += 1
-    vp_points = PointSet(d, adv_items)
-    groups = {pid: v_points.group_of(pid) for pid in v_points.ids}
-    groups.update({pid: vp_points.group_of(pid) for pid in vp_points.ids})
-    constraint = PartitionConstraint(caps, groups)
-    return v_points, vp_points, constraint
+    return _adversarial_pair(d, caps, base_items, adv_items)
 
 
 def lb_high_dim_instance(k, d, Ms, M, probe=0):
@@ -169,23 +161,16 @@ def lb_high_dim_instance(k, d, Ms, M, probe=0):
     if not 0 <= probe < d:
         raise PreconditionError("probe must name one of the first %d groups, got %r" % (d, probe))
     eye = np.eye(d)
-    base_items = []
-    for i in range(k):
-        for j in range(d):
-            base_items.append((i * d + j, Ms[i] * eye[j], i))
-    v_points = PointSet(d, base_items)
-    adv_items = []
-    next_id = k * d
-    for t in range(d):
-        if t == probe:
-            continue
-        adv_items.append((next_id, M * eye[t], t))
-        next_id += 1
-    vp_points = PointSet(d, adv_items)
-    groups = {pid: v_points.group_of(pid) for pid in v_points.ids}
-    groups.update({pid: vp_points.group_of(pid) for pid in vp_points.ids})
-    constraint = PartitionConstraint((1,) * k, groups)
-    return v_points, vp_points, constraint
+    base_items = [(i * d + j, Ms[i] * eye[j], i) for i in range(k) for j in range(d)]
+    axes = [t for t in range(d) if t != probe]
+    adv_items = [(k * d + n, M * eye[t], t) for n, t in enumerate(axes)]
+    return _adversarial_pair(d, (1,) * k, base_items, adv_items)
+
+
+def _adversarial_pair(d, caps, base_items, adv_items):
+    """(V, V', constraint) from ``(id, coords, group)`` items, one partition spanning both."""
+    groups = {pid: g for pid, _, g in base_items + adv_items}
+    return PointSet(d, base_items), PointSet(d, adv_items), PartitionConstraint(caps, groups)
 
 
 @dataclass(frozen=True)
@@ -227,15 +212,17 @@ def _completion_basis(p):
     a = np.zeros((mm, mm))
     a[:, 0] = p
     a[:, 1:] = np.eye(mm)[:, : mm - 1]
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return _signed_q(a)
 
 
 def _random_rotation(rng, n):
     """Haar-ish random orthogonal matrix (QR of a Gaussian, signs fixed)."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return _signed_q(rng.standard_normal((n, n)))
+
+
+def _signed_q(a):
+    """The Q of a's QR factorization, columns flipped so that R's diagonal is non-negative."""
+    q, r = np.linalg.qr(a)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs

@@ -3,50 +3,27 @@
 Each test prints a single PASS/FAIL line on the real stdout (bypassing
 pytest's capture) so the tee'd run log doubles as the acceptance report,
 then asserts the same condition so pytest's verdict agrees with the line.
+Checks c01-c08 are the property bodies of ``detmax.properties``, run at
+their fixed seeds; ``detmax verify`` runs the same bodies.
 """
 
 import contextlib
 import csv
 import io
 import json
-import math
-import statistics
 import sys
 import time
-from itertools import combinations, permutations
 
-import numpy as np
 import pytest
 
 from detmax import (
     InstanceSpec,
-    PointSet,
-    WeightProfile,
     bench_scaling,
-    brute_force_opt,
     build_coreset,
     coreset_to_json,
-    cover_number,
-    enumerate_bases,
-    find_laminar_exchange,
-    find_value_preserving_exchange,
-    hard_instance,
-    is_base,
-    LaminarConstraint,
-    lb_high_dim_instance,
-    lb_low_dim_instance,
-    logsumexp,
     main,
-    merge_pointsets,
-    mu,
-    mu_cauchy_binet,
-    mu_tilde,
-    nu,
-    objective_value,
-    PartitionConstraint,
-    peeling_coreset,
+    properties,
     random_instance,
-    run_distributed,
 )
 
 ZETA = 1.01
@@ -67,387 +44,45 @@ def report(capfd):
     return _emit
 
 
-def _point_set(rng, n, d, mode="normal"):
-    if mode == "grid":
-        coords = rng.integers(-1, 2, size=(n, d)).astype(float)
-    else:
-        coords = rng.standard_normal((n, d))
-    return PointSet(d, [(i, coords[i], None) for i in range(n)])
-
-
-def _nu_table(points, ids, d):
-    return {frozenset(c): nu(points, c) for c in combinations(ids, d)}
+def _gate(report, tag, outcome):
+    ok, detail = outcome
+    report(tag, ok, detail)
+    assert ok, detail
 
 
 def test_c01_cauchy_binet_equivalence(report):
-    rng = np.random.default_rng(20260825)
     t0 = time.perf_counter()
-    trials = 0
-    worst = 0.0
-    both_inf = 0
-    for trial in range(500):
-        d = int(rng.integers(2, 5))
-        k = int(rng.integers(d, 7))
-        n = int(rng.integers(max(k, d), 11))
-        mode = "grid" if trial % 5 == 0 else "normal"
-        points = _point_set(rng, n, d, mode)
-        S = sorted(rng.choice(n, size=k, replace=False).tolist())
-        a = mu(points, S)
-        b = mu_cauchy_binet(points, S)
-        if a == -math.inf or b == -math.inf:
-            assert a == b, "one route finite, the other singular on trial %d" % trial
-            both_inf += 1
-        else:
-            worst = max(worst, abs(a - b))
-        trials += 1
+    ok, detail = properties.cauchy_binet(20260825)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and elapsed < 10.0
-    report(
-        "01 cauchy-binet equivalence",
-        ok,
-        "%d instances, worst |mu - sum-over-d-subsets| = %.2e, %d doubly singular, %.2fs"
-        % (trials, worst, both_inf, elapsed),
-    )
-    assert ok, "worst gap %.3e (tolerance 1e-8), elapsed %.2fs" % (worst, elapsed)
+    _gate(report, "01 cauchy-binet equivalence", (ok and elapsed < 10.0, "%s, %.2fs" % (detail, elapsed)))
 
 
 def test_c02_exchange_inequality_at_local_optima(report):
-    rng = np.random.default_rng(9)
-    log_zeta = math.log(ZETA)
-    checks = 0
-    opts_seen = 0
-    violations = []
-    for trial in range(200):
-        d = int(rng.integers(2, 4))
-        n = int(rng.integers(d + 2, 9))
-        mode = "grid" if trial % 4 == 0 else "normal"
-        points = _point_set(rng, n, d, mode)
-        ids = list(range(n))
-        table = _nu_table(points, ids, d)
-        ground = frozenset(ids)
-        # classify every size-d subset: T is a zeta-local optimum when no
-        # single swap beats nu(T) + log(zeta)
-        local_opts = []
-        for T, base in table.items():
-            if base == -math.inf:
-                continue
-            is_opt = True
-            for e in T:
-                rest = T - {e}
-                for f in ground - T:
-                    if table[rest | {f}] > base + log_zeta + 1e-9:
-                        is_opt = False
-                        break
-                if not is_opt:
-                    break
-            if is_opt:
-                local_opts.append(T)
-        opts_seen += len(local_opts)
-        for T in local_opts:
-            nu_t = table[T]
-            for W, nu_w in table.items():
-                if nu_w == -math.inf or W == T:
-                    continue
-                rest_t = T - W
-                for e in W - T:
-                    w_minus = W - {e}
-                    terms = [
-                        table[w_minus | {j}] + table[(T - {j}) | {e}] for j in rest_t
-                    ]
-                    rhs = math.log(d) + logsumexp(terms)
-                    lhs = nu_w + nu_t
-                    checks += 1
-                    if lhs > rhs + 1e-9:
-                        violations.append((trial, tuple(sorted(T)), tuple(sorted(W)), e, lhs - rhs))
-    ok = not violations
-    report(
-        "02 exchange inequality at local optima",
-        ok,
-        "%d local optima, %d (T, W, e) checks, %d violations"
-        % (opts_seen, checks, len(violations)),
-    )
-    assert ok, "violations: %r" % violations[:5]
+    _gate(report, "02 exchange inequality at local optima", properties.exchange_inequality(9))
 
 
 def test_c03_value_preserving_exchange_constructivity(report):
-    rng = np.random.default_rng(31)
-    d = 2
-    calls = 0
-    failures = []
-    for trial in range(50):
-        k = int(rng.integers(3, 5))
-        k_v = int(rng.integers(1, 4))
-        n_v = 2 * k_v + 2
-        n = min(10, n_v + int(rng.integers(2, 4)))
-        n_v = min(n_v, n - 2)
-        points = _point_set(rng, n, d, "grid" if trial % 6 == 0 else "normal")
-        V = list(range(n_v))
-        peeling = peeling_coreset(points, V, k_v, d, ZETA)
-        profile = WeightProfile(peeling.union, ZETA, d, "highk")
-        vset = set(V)
-        for S in combinations(range(n), k):
-            sset = frozenset(S)
-            if len(sset & vset) > k_v:
-                continue
-            for e in sorted(sset & vset - peeling.union):
-                f = find_value_preserving_exchange(points, S, e, peeling)
-                calls += 1
-                new = (sset - {e}) | {f}
-                proper = (
-                    f in peeling.union
-                    and f not in sset
-                    and len(new) == k
-                    and len(new & vset) <= k_v
-                )
-                before = mu_tilde(points, sorted(sset), profile)
-                after = mu_tilde(points, sorted(new), profile)
-                if not proper or after < before - 1e-9:
-                    failures.append((trial, S, e, f, after - before))
-    ok = not failures
-    report(
-        "03 value-preserving exchange constructivity",
-        ok,
-        "%d exhaustive (S, e) exchanges, %d failures" % (calls, len(failures)),
-    )
-    assert ok, "failures: %r" % failures[:5]
+    _gate(report, "03 value-preserving exchange constructivity", properties.value_preserving_exchange(31))
 
 
 def test_c04_end_to_end_composability_bound(report):
-    rng = np.random.default_rng(77)
-    ratios = []
-    bad = []
-    for trial in range(100):
-        s = int(rng.integers(1, 4))
-        caps = [1] * s
-        k = s
-        while k < 5 and rng.random() < 0.6:
-            caps[int(rng.integers(0, s))] += 1
-            k += 1
-        d = int(rng.integers(2, 4))
-        n = int(rng.integers(max(k, d) + 2, 15))
-        spec = InstanceSpec(
-            "random", n, d, k, {"type": "partition", "caps": caps}, 1000 + trial
-        )
-        points, constraint = random_instance(spec)
-        split = "by-group" if trial % 2 else "random"
-        m_parts = int(rng.integers(1, 4))
-        res = run_distributed(
-            points, constraint, m_parts, seed=trial, zeta=ZETA,
-            split=split, oracle="force",
-        )
-        k_eff = constraint.rank
-        ell = k_eff if k_eff <= d else d
-        bound = 2 * ell * math.log(ZETA * ell)
-        assert res.oracle == "brute_force"
-        assert abs(res.bound_log - bound) < 1e-12
-        ratio = res.full_value - res.coreset_value
-        ratios.append(ratio)
-        if not (-1e-9 <= ratio <= bound + 1e-9):
-            bad.append((trial, ratio, bound))
-    ok = not bad
-    report(
-        "04 end-to-end composability bound",
-        ok,
-        "%d pipelines, median log-ratio %.3e, max %.3e, %d bound violations"
-        % (len(ratios), statistics.median(ratios), max(ratios), len(bad)),
-    )
-    assert ok, "violations: %r" % bad[:5]
-
-
-def _random_laminar(rng, n, want_r2=True):
-    """Nested/disjoint family over ids 0..n-1 with cover number <= 2."""
-    ids = list(range(n))
-    a_len = int(rng.integers(4, max(5, n - 2)))
-    root_a = ids[:a_len]
-    sets = [(root_a, int(rng.integers(2, 4)))]
-    if want_r2:
-        c_len = int(rng.integers(2, a_len - 1))
-        sets.append((root_a[:c_len], int(rng.integers(1, sets[0][1]))))
-    if n - a_len >= 2 and rng.random() < 0.7:
-        sets.append((ids[a_len : a_len + 2], 1))
-    return LaminarConstraint(sets, ids)
+    _gate(report, "04 end-to-end composability bound", properties.composability(77))
 
 
 def test_c05_coreset_size_bounds(report):
-    rng = np.random.default_rng(55)
-    built = 0
-    bad = []
-    for trial in range(200):
-        kind = trial % 5
-        if kind in (0, 1, 2, 3):  # partition: bound s*k (low rank) or k*d (high)
-            if kind in (0, 1):
-                d = int(rng.integers(2, 5))
-                s = int(rng.integers(1, 4))
-                caps = [1] * s
-                while sum(caps) < d and rng.random() < 0.7:
-                    caps[int(rng.integers(0, s))] += 1
-                label = "lowk"
-            else:
-                d = int(rng.integers(2, 4))
-                s = int(rng.integers(1, 4))
-                caps = [int(rng.integers(1, 4)) for _ in range(s)]
-                while sum(caps) <= d:
-                    caps[int(rng.integers(0, s))] += 1
-                label = "highk"
-            k = sum(caps)
-            if kind in (1, 3):
-                # the ground set exactly exhausts the caps: group i holds
-                # precisely caps[i] points, sometimes one short
-                sizes = list(caps)
-                if trial % 10 == 3 and max(sizes) > 1:
-                    sizes[sizes.index(max(sizes))] -= 1
-                labels = [g for g, c in enumerate(sizes) for _ in range(c)]
-                points = _point_set(rng, len(labels), d)
-                constraint = PartitionConstraint(
-                    caps, {pid: labels[pid] for pid in points.ids}
-                )
-            else:
-                n = int(rng.integers(s * max(caps) + 1, s * max(caps) + 12))
-                spec = InstanceSpec(
-                    "random", n, d, k, {"type": "partition", "caps": caps},
-                    7000 + trial,
-                )
-                points, constraint = random_instance(spec)
-            cs = build_coreset(points, points.ids, constraint, ZETA, "auto")
-            k_eff = constraint.rank
-            bound = s * k_eff if k_eff <= d else k_eff * d
-        else:  # laminar, bound (k * ell)^r
-            d = 2
-            n = int(rng.integers(8, 15))
-            points = _point_set(rng, n, d)
-            constraint = _random_laminar(rng, n)
-            cs = build_coreset(points, points.ids, constraint, ZETA, "auto")
-            k_eff = constraint.rank
-            ell = k_eff if k_eff <= d else d
-            bound = (k_eff * ell) ** cover_number(constraint)
-            label = "laminar"
-        built += 1
-        if not (len(cs.ids) <= cs.declared_bound <= bound):
-            bad.append((trial, label, len(cs.ids), cs.declared_bound, bound))
-    ok = not bad
-    report(
-        "05 coreset size bounds",
-        ok,
-        "%d constructions (incl. caps-exhausting), %d bound violations" % (built, len(bad)),
-    )
-    assert ok, "violations: %r" % bad[:5]
+    _gate(report, "05 coreset size bounds", properties.size_bounds(55))
 
 
 def test_c06_laminar_exchange_feasibility(report):
-    rng = np.random.default_rng(66)
-    exchanges = 0
-    bad = []
-    for trial in range(30):
-        n = int(rng.integers(8, 13))
-        points = _point_set(rng, n, 2)
-        constraint = _random_laminar(rng, n, want_r2=trial % 2 == 0)
-        cs = build_coreset(points, points.ids, constraint, ZETA, "auto")
-        assert cs.kind == "laminar"
-        profile = WeightProfile(cs.ids, ZETA, cs.ell, "highk")
-        in_roots = set()
-        for root in cs.structure["roots"].values():
-            in_roots |= root.set_ids
-        for S in enumerate_bases(constraint, points):
-            sset = frozenset(S)
-            for e in sorted((sset - cs.ids) & in_roots):
-                f = find_laminar_exchange(points, S, e, cs)
-                exchanges += 1
-                new = (sset - {e}) | {f}
-                before = mu_tilde(points, sorted(sset), profile)
-                after = mu_tilde(points, sorted(new), profile)
-                if not is_base(constraint, new) or after < before - 1e-9:
-                    bad.append((trial, S, e, f))
-    ok = not bad
-    report(
-        "06 laminar exchange feasibility",
-        ok,
-        "%d base exchanges across 30 instances, %d left the matroid"
-        % (exchanges, len(bad)),
-    )
-    assert ok, "violations: %r" % bad[:5]
+    _gate(report, "06 laminar exchange feasibility", properties.laminar_exchange(66))
 
 
 def test_c07_adversarial_lower_bounds(report):
-    # low-rank family: every 3-element subset of V collapses under some
-    # adversary, while the constructed coreset never does
-    low_ok = True
-    details = []
-    for M in (10.0, 100.0, 1000.0):
-        v, _, base_cons = lb_low_dim_instance(2, (1, 1), 2, M)
-        adversaries = [
-            lb_low_dim_instance(2, (1, 1), 2, M, probe, perm)
-            for probe in range(2)
-            for perm in permutations(range(2))
-        ]
-        worst_small = -math.inf
-        for U in combinations(sorted(v.ids), 3):
-            best = math.inf
-            for _, vp, cons in adversaries:
-                opt_u = brute_force_opt(merge_pointsets(v.restrict(U), vp), cons).log_value
-                opt_v = brute_force_opt(merge_pointsets(v, vp), cons).log_value
-                best = min(best, opt_u - opt_v)
-            worst_small = max(worst_small, best)
-            if best > -2 * math.log(M) + math.log(1 + 1e-6):
-                low_ok = False
-        cs = build_coreset(v, v.ids, base_cons, ZETA, "auto")
-        ell = cs.ell
-        if len(cs.ids) > 4:
-            low_ok = False
-        floor = -2 * ell * math.log(2 * ell)
-        worst_cs = math.inf
-        for _, vp, cons in adversaries:
-            opt_cs = brute_force_opt(
-                merge_pointsets(v.restrict(sorted(cs.ids)), vp), cons
-            ).log_value
-            opt_v = brute_force_opt(merge_pointsets(v, vp), cons).log_value
-            worst_cs = min(worst_cs, opt_cs - opt_v)
-            if opt_cs - opt_v < floor - 1e-9:
-                low_ok = False
-        details.append("M=%g small<=%.2f cs>=%.2f" % (M, worst_small, worst_cs))
-    # high-rank family: dropping the top-scale probe vector is ruinous
-    ms = (100.0, 10.0, 1.0)
-    v, vp, cons = lb_high_dim_instance(3, 2, ms, 1e5)
-    whole = merge_pointsets(v, vp)
-    full = brute_force_opt(whole, cons).log_value
-    part = brute_force_opt(whole.restrict([p for p in whole.ids if p != 0]), cons).log_value
-    need = 2 * math.log(ms[0] / ms[-1]) - math.log(math.comb(3, 2))
-    high_ok = full - part >= need - 1e-9
-    ok = low_ok and high_ok
-    report(
-        "07 adversarial lower bounds",
-        ok,
-        "; ".join(details) + "; high-dim drop penalty %.2f >= %.2f" % (full - part, need),
-    )
-    assert ok
+    _gate(report, "07 adversarial lower bounds", properties.lower_bounds())
 
 
 def test_c08_hard_instance_planted_advantage(report):
-    inst = hard_instance(4, 0.0117, 8, seed=3, M=1000.0, g_cap=5)
-    g = inst.g_vectors
-    dots = np.abs(g @ g.T - np.eye(len(g)))
-    geometry_ok = (
-        float(dots.max()) <= inst.tau + 1e-12
-        and float(np.abs(np.linalg.norm(g, axis=1) - 1.0).max()) <= 1e-12
-    )
-    q = inst.rotation
-    rotation_ok = float(np.abs(q.T @ q - np.eye(q.shape[0])).max()) <= 1e-12
-    planted_val = objective_value(inst.combined, inst.planted_set)
-    assert is_base(inst.constraint, inst.planted_set)
-    assert planted_val >= inst.planted_log_value - 1e-9
-    survivors = sorted(set(inst.combined.ids) - set(inst.planted_ids))
-    best_without = brute_force_opt(
-        inst.combined.restrict(survivors), inst.constraint
-    ).log_value
-    margin = planted_val - best_without
-    advantage_ok = margin >= math.log(10.0)
-    ok = geometry_ok and rotation_ok and advantage_ok
-    report(
-        "08 hard-instance planted advantage",
-        ok,
-        "max off-diagonal dot %.3f <= tau %.3f, planted beats planted-free optimum by "
-        "%.2f nats (need %.2f)" % (dots.max(), inst.tau, margin, math.log(10.0)),
-    )
-    assert ok
+    _gate(report, "08 hard-instance planted advantage", properties.hard_input(3))
 
 
 def test_c09_construction_time_scaling(report):

@@ -1,6 +1,11 @@
 import csv
 import dataclasses
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,7 +211,14 @@ class TestCli:
         (None, ["gen", "--constraint", "partition", "--caps", "2,x"]),
         (None, ["gen", "--generator", "lb-low-dim", "--caps", "1,1", "--d", "2", "--perm", "0,y"]),
         (None, ["gen", "--generator", "lb-high-dim", "--k", "3", "--d", "2", "--Ms", "100,ten,1"]),
-    ], ids=["short-point", "unknown-id", "not-json", "missing-file", "caps", "perm", "Ms"])
+        # PreconditionError: no caps, or a caps list with no group in it
+        (None, ["gen", "--generator", "lb-low-dim", "--d", "2"]),
+        (None, ["gen", "--constraint", "partition", "--caps", ","]),
+        (None, ["bench", "--s", "0"]),
+        (None, ["bench", "--s", "-1"]),
+        (None, ["bench", "--k", "0"]),
+    ], ids=["short-point", "unknown-id", "not-json", "missing-file", "caps", "perm", "Ms",
+            "lb-no-caps", "empty-caps", "bench-s-0", "bench-s-neg", "bench-k-0"])
     def test_input_errors_exit_2(self, tmp_path, capsys, content, argv):
         path = tmp_path / "inst.json"
         if content is not None:
@@ -214,6 +226,16 @@ class TestCli:
         argv = [str(path) if a == "{path}" else a for a in argv] + ["--out", str(tmp_path / "out.json")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_lb_low_dim_without_caps_names_the_flag(self, capsys):
+        assert main(["gen", "--generator", "lb-low-dim", "--d", "2"]) == 2
+        assert "--caps" in capsys.readouterr().err
+
+    def test_verify_negative_seed_exit_2(self, capsys):
+        assert main(["verify", "--suite", "sizes", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(PreconditionError):
+            run_suites("sizes", seed=-1)
 
     def test_solve_coreset_with_non_int_ids_exit_2(self, tmp_path, capsys):
         inst = self._gen(tmp_path)
@@ -267,3 +289,24 @@ class TestCli:
         assert main(["coreset", "--instance", str(bare)]) == 2
         err = capsys.readouterr().err
         assert "constraint" in err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestEntryPoints:
+    def test_python_m_detmax(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "detmax", "gen", "--n", "6", "--d", "2", "--k", "2"],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(done.stdout)["points"]) == 6
+
+    def test_console_script_is_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["detmax"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is detmax.main
