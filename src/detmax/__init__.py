@@ -32,7 +32,9 @@ from .errors import (
     UnknownIdError,
 )
 from .geometry import (
+    MAX_COORD,
     MAX_DIM,
+    UNLABELED,
     PointSet,
     load_pointset,
     log_det_psd,
@@ -121,6 +123,7 @@ __all__ = [
     "LaminarConstraint",
     "LaminarNodeCoreset",
     "LocalOptResult",
+    "MAX_COORD",
     "MAX_DIM",
     "MatrixInvariantError",
     "ORACLE_CAP_ENV",
@@ -134,6 +137,7 @@ __all__ = [
     "RunReport",
     "SolveResult",
     "SwapLimitError",
+    "UNLABELED",
     "UnknownIdError",
     "WeightProfile",
     "bench_scaling",

@@ -25,6 +25,7 @@ from .instances import (
     random_instance,
 )
 from .localsearch import DEFAULT_ZETA
+from .matroid import LaminarConstraint, laminar_family
 from .properties import SUITES, run_suites
 from .solver import solve_on_coreset
 
@@ -84,20 +85,19 @@ def _adversarial(args, params, pair):
 def _cmd_gen(args):
     if args.generator == "random":
         if args.constraint == "cardinality":
-            cdoc = {"type": "cardinality", "k": args.k}
+            cdoc, k = {"type": "cardinality", "k": args.k}, args.k
         elif args.constraint == "partition":
             cdoc = {"type": "partition", "caps": _caps(args, "partition")}
+            k = sum(cdoc["caps"]) or args.k
         elif args.constraint == "laminar":
             if not args.laminar_sets:
                 raise PreconditionError("laminar generation needs --laminar-sets JSON")
             cdoc = {"type": "laminar", "sets": json.loads(args.laminar_sets)}
+            # the family's rank over ids 0..n-1, the ids random_instance gives
+            k = LaminarConstraint(laminar_family(cdoc), range(args.n)).rank
         else:
             raise PreconditionError("unknown constraint kind %r" % (args.constraint,))
-        k = args.k if args.constraint == "cardinality" else None
-        spec = InstanceSpec(
-            "random", args.n, args.d, k or sum(_number_list(args.caps or "0", int)) or args.k,
-            cdoc, args.seed, {"coord_mode": args.coord_mode},
-        )
+        spec = InstanceSpec("random", args.n, args.d, k, cdoc, args.seed, {"coord_mode": args.coord_mode})
         points, constraint = random_instance(spec)
         meta = {"generator": "random", "spec": spec.to_json()}
     elif args.generator == "lb-low-dim":

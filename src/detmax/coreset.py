@@ -29,8 +29,10 @@ high-rank regime, (k*ell)**r for laminar families with cover number r.
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantError, PreconditionError, UnknownIdError
+from .errors import InvariantError, PreconditionError
+from .geometry import int_column, is_count
 from .localsearch import DEFAULT_ZETA, local_opt
+from .matroid import in_ground
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde
 
 
@@ -46,10 +48,7 @@ class PeelingCoreset:
 
     @property
     def union(self):
-        out = set()
-        for layer in self.layers:
-            out.update(layer.ids)
-        return frozenset(out)
+        return frozenset().union(*(layer.ids for layer in self.layers))
 
 
 def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
@@ -136,14 +135,6 @@ class CoresetResult:
         return [list(layer) for layer in self.layers]
 
 
-def _working_set(V, constraint):
-    vset = set(V)
-    stray = vset - constraint.ground
-    if stray:
-        raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
-    return vset
-
-
 def _degenerate_warnings(prefix, layers):
     return tuple(
         "%s layer %d is degenerate (working set rank below ell)" % (prefix, i)
@@ -182,14 +173,14 @@ def partition_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     if constraint.kind != "partition":
         raise PreconditionError("partition_coreset needs a partition constraint")
     k = constraint.rank
-    vset = _working_set(V, constraint)
+    vset = in_ground(constraint, V)
     if ell > k:
         raise PreconditionError("ell=%d exceeds constraint rank %d" % (ell, k))
     lowk = ell == k
     parts = {}
-    for g in range(constraint.num_groups):
-        share = vset & constraint.part_ids(g)
-        threshold = 1 if lowk else constraint.caps[g]
+    for g, (part, cap) in enumerate(constraint.sets):
+        share = vset & part
+        threshold = 1 if lowk else cap
         if share and threshold:
             parts[g] = peeling_coreset(points, share, threshold, ell, zeta)
     regime = REGIME_LOWK if lowk else REGIME_HIGHK
@@ -253,7 +244,7 @@ def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     """
     if constraint.kind != "laminar":
         raise PreconditionError("laminar_coreset needs a laminar constraint")
-    vset = _working_set(V, constraint)
+    vset = in_ground(constraint, V)
     warnings = []
     roots = {}
     for i in constraint.roots:
@@ -317,7 +308,7 @@ def build_coreset(points, V, constraint, zeta=DEFAULT_ZETA, regime="auto"):
         return laminar_coreset(points, V, constraint, ell, zeta)
     if constraint.kind != "cardinality":
         raise PreconditionError("unsupported constraint kind %r" % (constraint.kind,))
-    vset = _working_set(V, constraint)
+    vset = in_ground(constraint, V)
     threshold = 1 if regime == REGIME_LOWK else k
     selection = peeling_coreset(points, vset, threshold, ell, zeta)
     labeled = [("selection", selection)]
@@ -376,13 +367,7 @@ def _best_replacement(points, sel, e, layers, blocks, profile, exhausted):
     else:
         raise PreconditionError(exhausted)
     base = sorted(sel - {e})
-    best_f = None
-    best_val = -math.inf
-    for f in sorted(layer.ids):
-        val = mu_tilde(points, base + [f], profile)
-        if best_f is None or val > best_val:
-            best_f, best_val = f, val
-    return best_f
+    return max(sorted(layer.ids), key=lambda f: mu_tilde(points, base + [f], profile))
 
 
 def find_value_preserving_exchange(points, S, e, peeling, profile=None):
@@ -477,12 +462,8 @@ def coreset_to_json(result):
     }
 
 
-def _is_int(value, low):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
 def _is_id_list(value):
-    return isinstance(value, list) and all(_is_int(i, 0) for i in value)
+    return isinstance(value, list) and int_column(value)[1] == len(value)
 
 
 # every field coreset_to_json writes -> (check, what the check wants)
@@ -492,8 +473,8 @@ _JSON_FIELDS = {
     "ids": (_is_id_list, "a list of non-negative int ids"),
     "source": (_is_id_list, "a list of non-negative int ids"),
     "layers": (lambda v: isinstance(v, list) and all(map(_is_id_list, v)), "a list of id lists"),
-    "declared_bound": (lambda v: _is_int(v, 0), "a non-negative int"),
-    "ell": (lambda v: _is_int(v, 1), "a positive int"),
+    "declared_bound": (is_count, "a non-negative int"),
+    "ell": (lambda v: is_count(v, 1), "a positive int"),
     "zeta": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 1.0,
              "a number >= 1"),
 }

@@ -16,11 +16,18 @@ the negative tolerance mean the input was not PSD to begin with and raise
 ``MatrixInvariantError``.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import InstanceFormatError, MatrixInvariantError, UnknownIdError
 
 MAX_DIM = 64
+# |coordinate| above this is an input error: every Gram entry of d <= MAX_DIM
+# such coordinates, and every sum of n of them, stays far below 1e308
+MAX_COORD = 1e100
+# the group label of a point that has none
+UNLABELED = -1
 
 # pivot <= SINGULAR_PIVOT_REL * a[j, j]  ->  log det is -inf
 SINGULAR_PIVOT_REL = 1e-12
@@ -29,55 +36,122 @@ PSD_PIVOT_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 
+def first_true(mask):
+    """Index of the first True in a 1-d mask, or its length when there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def is_count(value, low=0):
+    """True for an int (not a bool) of at least ``low``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def int_column(values, none_ok=False):
+    """Ids or group labels as int64, and the row of the first entry that is not a non-negative int.
+
+    That row is len(values) when there is none.  Bools are not ints here.
+    With ``none_ok``, None (UNLABELED in an int array) is allowed and kept as UNLABELED.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        col = values.astype(np.int64)
+        bad = col < (UNLABELED if none_ok else 0)
+    else:
+        n = len(values)
+        obj = np.fromiter(values, dtype=object, count=n)
+        kinds = np.fromiter(map(type, values), dtype=object, count=n)
+        isint = np.isin(kinds, [t for t in set(kinds) if issubclass(t, (int, np.integer)) and t is not bool])
+        isnone = (kinds == type(None)) & none_ok
+        obj[~isint] = 0
+        bad = ~(isint | isnone) | (obj < 0) | (obj > np.iinfo(np.int64).max)
+        obj[bad] = 0
+        col = obj.astype(np.int64)
+        col[isnone] = UNLABELED
+    return col, first_true(bad)
+
+
+def check_ids(ids, what):
+    """Ids as an int64 array; InstanceFormatError names the first that is not a non-negative int."""
+    ids = ids if isinstance(ids, (list, tuple, np.ndarray)) else list(ids)
+    col, stop = int_column(ids)
+    if stop < len(ids):
+        raise InstanceFormatError("%s id must be a non-negative int, got %r" % (what, ids[stop]))
+    return col
+
+
+def _numbers(coords):
+    """True for a flat list, tuple or array of real numbers."""
+    return isinstance(coords, (list, tuple, np.ndarray)) and all(isinstance(c, numbers.Real) for c in coords)
+
+
 class PointSet:
     """Immutable collection of d-dimensional vectors keyed by integer id.
 
-    Construction preserves insertion order, which downstream code relies on
-    for deterministic iteration.  Coordinates are stored as a read-only
-    float64 matrix with one row per point.
+    Points keep the order they were given in, which downstream code relies
+    on for deterministic iteration.  Ids, coordinates and group labels are
+    read-only arrays with one row per point (UNLABELED where a point has no
+    group), and one sorted index maps ids to rows.
     """
 
     def __init__(self, dim, items):
-        """Build from ``dim`` and an iterable of ``(id, coords, group)``.
+        """Build from ``dim`` and an iterable of ``(id, coords, group)``; see :meth:`from_arrays`."""
+        columns = tuple(zip(*items)) or ((), (), ())
+        vars(self).update(vars(PointSet.from_arrays(dim, *columns)))
 
-        ``group`` may be None for points that carry no partition label.
-        Raises InstanceFormatError on duplicate ids, wrong coordinate
-        lengths, or dimensions outside 1..64.
+    @classmethod
+    def from_arrays(cls, dim, ids, coords, groups):
+        """Build from parallel columns: ids, coordinate rows, and group labels or None.
+
+        This is the one validation body for points.  InstanceFormatError
+        names the first faulty point and, of its faults, the first in this
+        order: id, duplicate id, not dim numbers, non-finite, beyond
+        MAX_COORD, group label.  Each check runs over a whole column.
         """
-        if not isinstance(dim, int) or dim < 1:
+        if not is_count(dim, 1):
             raise InstanceFormatError("dim must be a positive integer, got %r" % (dim,))
         if dim > MAX_DIM:
             raise InstanceFormatError(
                 "dim=%d unsupported: dense routines here cap at dim=%d" % (dim, MAX_DIM)
             )
-        ids = []
-        rows = []
-        groups = []
-        row_of = {}
-        for pid, coords, group in items:
-            if not isinstance(pid, int) or isinstance(pid, bool) or pid < 0:
-                raise InstanceFormatError("point id must be a non-negative int, got %r" % (pid,))
-            if pid in row_of:
-                raise InstanceFormatError("duplicate point id %d" % pid)
-            vec = np.asarray(coords, dtype=float)
-            if vec.shape != (dim,):
-                raise InstanceFormatError(
-                    "point %d has %d coordinates, expected %d" % (pid, vec.size, dim)
-                )
-            if not np.all(np.isfinite(vec)):
-                raise InstanceFormatError("point %d has non-finite coordinates" % pid)
-            if group is not None and (not isinstance(group, int) or isinstance(group, bool) or group < 0):
-                raise InstanceFormatError("group of point %d must be a non-negative int or None" % pid)
-            row_of[pid] = len(ids)
-            ids.append(pid)
-            rows.append(vec)
-            groups.append(group)
+        n = len(ids)
+        if len(coords) != n or len(groups) != n:
+            raise InstanceFormatError("ids, coords and groups differ in length")
+        col, stop = int_column(ids)
+        # each check yields its first bad row; bad ids read as 0, which is
+        # harmless since the bad id at row ``stop`` is named before any later fault
+        faults = []
+        order = np.argsort(col, kind="stable")
+        again = order[1:][col[order[1:]] == col[order[:-1]]]
+        faults.append((again.min() if again.size else n, "duplicate point id %d"))
+        try:
+            x = np.array(coords)
+        except (ValueError, TypeError):
+            x = None
+        if x is None or x.dtype.kind not in "biuf" or x.shape != (n, dim):
+            bad = next((r for r, c in enumerate(coords) if not (_numbers(c) and len(c) == dim)), n)
+            if bad < n and _numbers(coords[bad]):
+                faults.append((bad, "point %%d has %d coordinates, expected %d" % (len(coords[bad]), dim)))
+            faults.append((bad, "point %d coordinates are not a list of numbers"))
+            x = np.array(coords[:bad]).reshape(bad, dim)
+        x = np.asarray(x, dtype=float)
+        finite = np.isfinite(x).all(axis=1)
+        faults.append((first_true(~finite), "point %d has non-finite coordinates"))
+        huge = finite & (np.abs(x) > MAX_COORD).any(axis=1)
+        faults.append((first_true(huge), "point %%d has a coordinate beyond %g in magnitude" % MAX_COORD))
+        labels, bad = int_column(groups, none_ok=True)
+        faults.append((bad, "group of point %d must be a non-negative int or None"))
+        row, message = min(faults, key=lambda f: f[0])  # on a tie, the first check
+        if row < stop:
+            raise InstanceFormatError(message % col[row])
+        if stop < n:
+            raise InstanceFormatError("point id must be a non-negative int, got %r" % (ids[stop],))
+        self = object.__new__(cls)
         self._dim = dim
-        self._ids = tuple(ids)
-        self._groups = tuple(groups)
-        self._row_of = row_of
-        self._coords = np.array(rows, dtype=float).reshape(len(ids), dim)
-        self._coords.setflags(write=False)
+        self._ids, self._coords, self._labels = col, x, labels
+        self._order, self._sorted = order, col[order]
+        for a in (col, x, labels, order):
+            a.setflags(write=False)
+        self._id_tuple = tuple(col.tolist())
+        return self
 
     @property
     def dim(self):
@@ -85,71 +159,72 @@ class PointSet:
 
     @property
     def ids(self):
+        """The ids as a tuple of ints, in order."""
+        return self._id_tuple
+
+    @property
+    def id_array(self):
+        """The ids as a read-only int64 array, in order."""
         return self._ids
 
     @property
+    def labels(self):
+        """The group labels as a read-only int64 array, UNLABELED where a point has none."""
+        return self._labels
+
+    @property
     def coords(self):
-        """The (n, dim) coordinate matrix, read-only, rows in insertion order."""
+        """The (n, dim) coordinate matrix, read-only, rows in order."""
         return self._coords
 
     def __len__(self):
         return len(self._ids)
 
-    def __contains__(self, pid):
-        return pid in self._row_of
+    def index(self, ids):
+        """Row positions of ``ids`` (any shape, repeats allowed); UnknownIdError names the first unknown."""
+        q = np.asarray(ids)
+        if q.dtype.kind in "iu" and len(self):
+            pos = np.minimum(np.searchsorted(self._sorted, q), len(self) - 1)
+            found = self._sorted[pos] == q
+            if found.all():
+                return self._order[pos]
+            missing = q[~found].item(0)
+        elif q.size == 0:
+            return np.zeros(q.shape, dtype=np.intp)
+        else:  # not all ints: name the first entry that is not a known id
+            known = set(self._id_tuple)
+            entries = np.asarray(ids, dtype=object).ravel().tolist()
+            missing = next(v for v in entries if not is_count(v) or v not in known)
+        raise UnknownIdError("no point with id %r" % (missing,))
 
-    def vector(self, pid):
-        """Coordinate row of one point (read-only view)."""
+    def __contains__(self, pid):
         try:
-            return self._coords[self._row_of[pid]]
-        except KeyError:
-            raise UnknownIdError("no point with id %r" % (pid,)) from None
+            self.index(pid)
+        except UnknownIdError:
+            return False
+        return True
 
     def rows(self, ids):
         """Stack coordinate rows for a sequence of ids (repeats allowed)."""
-        try:
-            idx = [self._row_of[i] for i in ids]
-        except KeyError as exc:
-            raise UnknownIdError("no point with id %r" % (exc.args[0],)) from None
-        return self._coords[idx] if idx else np.zeros((0, self._dim))
-
-    def group_of(self, pid):
-        try:
-            return self._groups[self._row_of[pid]]
-        except KeyError:
-            raise UnknownIdError("no point with id %r" % (pid,)) from None
-
-    def groups(self):
-        """Mapping id -> group label (None where unlabeled)."""
-        return dict(zip(self._ids, self._groups))
+        return self._coords[self.index(ids)]
 
     def restrict(self, ids):
         """Sub-PointSet containing only ``ids``, keeping this set's order."""
-        keep = set(ids)
-        missing = keep - set(self._ids)
-        if missing:
-            raise UnknownIdError("no point with id %r" % (min(missing),))
-        items = [
-            (pid, self._coords[self._row_of[pid]], self._groups[self._row_of[pid]])
-            for pid in self._ids
-            if pid in keep
-        ]
-        return PointSet(self._dim, items)
+        keep = np.zeros(len(self), dtype=bool)
+        keep[self.index(list(ids))] = True
+        return PointSet.from_arrays(self._dim, self._ids[keep], self._coords[keep], self._labels[keep])
 
     def __repr__(self):
         return "PointSet(dim=%d, n=%d)" % (self._dim, len(self._ids))
 
 
-def merge_pointsets(a, b):
-    """Concatenate two point sets with disjoint ids into one."""
-    if a.dim != b.dim:
-        raise InstanceFormatError("cannot merge point sets of dim %d and %d" % (a.dim, b.dim))
-    overlap = set(a.ids) & set(b.ids)
-    if overlap:
-        raise InstanceFormatError("cannot merge: ids overlap, e.g. %d" % min(overlap))
-    items = [(pid, a.vector(pid), a.group_of(pid)) for pid in a.ids]
-    items += [(pid, b.vector(pid), b.group_of(pid)) for pid in b.ids]
-    return PointSet(a.dim, items)
+def merge_pointsets(*parts):
+    """Concatenate point sets with pairwise disjoint ids into one."""
+    dims = sorted({p.dim for p in parts})
+    if len(dims) != 1:
+        raise InstanceFormatError("cannot merge point sets of dims %s" % dims)
+    columns = (np.concatenate([getattr(p, c) for p in parts]) for c in ("id_array", "coords", "labels"))
+    return PointSet.from_arrays(dims[0], *columns)
 
 
 def load_pointset(doc):
@@ -164,16 +239,15 @@ def load_pointset(doc):
         raise InstanceFormatError("instance document must be a JSON object")
     if "dim" not in doc or "points" not in doc:
         raise InstanceFormatError("instance document needs 'dim' and 'points'")
-    dim = doc["dim"]
     points = doc["points"]
     if not isinstance(points, list):
         raise InstanceFormatError("'points' must be a list")
-    items = []
-    for entry in points:
-        if not isinstance(entry, dict) or "id" not in entry or "coords" not in entry:
-            raise InstanceFormatError("each point needs 'id' and 'coords', got %r" % (entry,))
-        items.append((entry["id"], entry["coords"], entry.get("group")))
-    return PointSet(dim, items)
+    try:
+        columns = [p["id"] for p in points], [p["coords"] for p in points], [p.get("group") for p in points]
+    except (TypeError, KeyError, AttributeError):
+        entry = next(p for p in points if not isinstance(p, dict) or "id" not in p or "coords" not in p)
+        raise InstanceFormatError("each point needs 'id' and 'coords', got %r" % (entry,)) from None
+    return PointSet.from_arrays(doc["dim"], *columns)
 
 
 def log_det_psd(m):

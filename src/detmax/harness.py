@@ -18,19 +18,12 @@ import numpy as np
 
 from .coreset import build_coreset, compose
 from .errors import InvariantError, PreconditionError
+from .geometry import UNLABELED
 from .instances import InstanceSpec, random_instance
 from .localsearch import DEFAULT_ZETA
 from .matroid import oracle_cap
 from .objective import REGIME_HIGHK, REGIME_LOWK
-from .solver import brute_force_opt, solve_on_coreset
-
-
-def _json_float(v):
-    if v is None:
-        return None
-    if v == -math.inf:
-        return "-inf"
-    return float(v)
+from .solver import brute_force_opt, json_float, solve_on_coreset
 
 
 @dataclass
@@ -55,7 +48,7 @@ class RunReport:
     def to_json(self):
         doc = asdict(self)
         for key in ("coreset_value", "full_value", "ratio_log"):
-            doc[key] = _json_float(doc[key])
+            doc[key] = json_float(doc[key])
         doc["warnings"] = list(self.warnings)
         doc["timings"] = {k: float(v) for k, v in self.timings.items()}
         return doc
@@ -72,22 +65,16 @@ class RunReport:
 
 
 def _split_ids(points, m_parts, seed, split):
-    ids = list(points.ids)
-    parts = [[] for _ in range(m_parts)]
+    """The ids of each part, in the point set's order."""
     if split == "random":
-        rng = np.random.default_rng(seed)
-        assignment = rng.integers(0, m_parts, size=len(ids))
-        for pid, p in zip(ids, assignment):
-            parts[int(p)].append(pid)
+        part = np.random.default_rng(seed).integers(0, m_parts, size=len(points))
     elif split == "by-group":
-        for pid in ids:
-            g = points.group_of(pid)
-            if g is None:
-                raise PreconditionError("by-group split needs a group label on every point")
-            parts[g % m_parts].append(pid)
+        if (points.labels == UNLABELED).any():
+            raise PreconditionError("by-group split needs a group label on every point")
+        part = points.labels % m_parts
     else:
         raise PreconditionError("split must be 'random' or 'by-group', got %r" % (split,))
-    return parts
+    return [points.id_array[part == p].tolist() for p in range(m_parts)]
 
 
 def run_distributed(

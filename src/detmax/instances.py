@@ -26,12 +26,12 @@ instance, bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InstanceFormatError, PreconditionError, RejectionSamplingError
-from .geometry import PointSet, load_pointset, merge_pointsets
+from .geometry import UNLABELED, PointSet, load_pointset, merge_pointsets
 from .matroid import (
     CardinalityConstraint,
     PartitionConstraint,
@@ -55,15 +55,7 @@ class InstanceSpec:
     params: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "generator": self.generator,
-            "n": self.n,
-            "d": self.d,
-            "k": self.k,
-            "constraint": self.constraint,
-            "seed": self.seed,
-            "params": dict(self.params),
-        }
+        return asdict(self)
 
 
 def random_instance(spec):
@@ -83,15 +75,15 @@ def random_instance(spec):
         coords = rng.integers(-3, 4, size=(spec.n, spec.d)).astype(float)
     else:
         raise PreconditionError("unknown coord_mode %r" % (mode,))
-    ctype = spec.constraint.get("type")
-    if ctype == "partition":
+    ids = np.arange(spec.n)
+    if spec.constraint.get("type") == "partition":
         caps = spec.constraint["caps"]
         if not caps:
             raise PreconditionError("partition instance needs at least one group cap, got %r" % (caps,))
-        groups = [i % len(caps) for i in range(spec.n)]
+        groups = ids % len(caps)
     else:
-        groups = [None] * spec.n
-    points = PointSet(spec.d, [(i, coords[i], groups[i]) for i in range(spec.n)])
+        groups = np.full(spec.n, UNLABELED)
+    points = PointSet.from_arrays(spec.d, ids, coords, groups)
     constraint = constraint_from_json(spec.constraint, points)
     if constraint.rank != spec.k:
         raise PreconditionError(
@@ -324,26 +316,17 @@ def hard_instance(d, beta, k, seed, M=1000.0, g_cap=10_000):
             slots[j, j + 1] = 1.0
         embed = slots @ basis.T
         vecs = (g_vectors @ embed.T) @ rotation.T
-        items = []
-        for copy in range(t):
-            for gidx in range(target):
-                items.append((next_id, vecs[gidx], None))
-                if gidx == pis[i]:
-                    planted.append(next_id)
-                next_id += 1
-        sets.append(PointSet(d, items))
+        ids = next_id + np.arange(t * target)
+        planted += ids[pis[i] :: target].tolist()
+        sets.append(PointSet.from_arrays(d, ids, np.tile(vecs, (t, 1)), np.full(len(ids), UNLABELED)))
+        next_id += len(ids)
     axis_ids = []
     for i in range(m):
-        vec = M * rotation[:, i]
-        items = []
-        for copy in range(t):
-            items.append((next_id, vec, None))
-            axis_ids.append(next_id)
-            next_id += 1
-        sets.append(PointSet(d, items))
-    combined = sets[0]
-    for extra in sets[1:]:
-        combined = merge_pointsets(combined, extra)
+        ids = next_id + np.arange(t)
+        axis_ids += ids.tolist()
+        sets.append(PointSet.from_arrays(d, ids, np.tile(M * rotation[:, i], (t, 1)), np.full(t, UNLABELED)))
+        next_id += t
+    combined = merge_pointsets(*sets)
     constraint = CardinalityConstraint(k, combined.ids)
     return HardInstance(
         sets=tuple(sets),
@@ -363,11 +346,12 @@ def hard_instance(d, beta, k, seed, M=1000.0, g_cap=10_000):
 
 def instance_to_json(points, constraint, meta=None):
     """Assemble the interchange document for a point set plus constraint."""
+    groups = [None if g == UNLABELED else g for g in points.labels.tolist()]
     doc = {
         "dim": points.dim,
         "points": [
-            {"id": pid, "group": points.group_of(pid), "coords": [float(c) for c in points.vector(pid)]}
-            for pid in points.ids
+            {"id": pid, "group": g, "coords": c}
+            for pid, g, c in zip(points.ids, groups, points.coords.tolist())
         ],
         "constraint": constraint_to_json(constraint),
     }

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SwapLimitError
-from .geometry import SINGULAR_PIVOT_REL, logdet_psd_batch
+from .geometry import SINGULAR_PIVOT_REL, is_count, logdet_psd_batch
 
 DEFAULT_ZETA = 1.01
 SWAP_LIMIT = 10**6
@@ -59,7 +59,12 @@ def _nu_rows(rows):
     return float(logdet_psd_batch((rows @ rows.T)[None])[0])
 
 
-def _sorted_working_set(points, V):
+def _sorted_working_set(points, V, ell):
+    """V's ids sorted, and their rows, for a search of ``ell`` picks."""
+    if not is_count(ell, 1):
+        raise PreconditionError("ell must be a positive int, got %r" % (ell,))
+    if ell > points.dim:
+        raise PreconditionError("ell=%d exceeds dim=%d" % (ell, points.dim))
     ids = sorted(set(V))
     return ids, points.rows(ids)
 
@@ -101,11 +106,7 @@ def greedy_init(points, V, ell):
     span of the current picks (largest squared norm first), smallest id on
     ties.
     """
-    if not isinstance(ell, int) or ell < 1:
-        raise PreconditionError("ell must be a positive int, got %r" % (ell,))
-    if ell > points.dim:
-        raise PreconditionError("ell=%d exceeds dim=%d" % (ell, points.dim))
-    ids, X = _sorted_working_set(points, V)
+    ids, X = _sorted_working_set(points, V, ell)
     take = min(ell, len(ids))
     picked = _greedy_positions(X, take)
     return tuple(ids[p] for p in picked)
@@ -144,11 +145,7 @@ def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
     """
     if not zeta >= 1.0:
         raise PreconditionError("zeta must be >= 1, got %r" % (zeta,))
-    if not isinstance(ell, int) or ell < 1:
-        raise PreconditionError("ell must be a positive int, got %r" % (ell,))
-    if ell > points.dim:
-        raise PreconditionError("ell=%d exceeds dim=%d" % (ell, points.dim))
-    ids, X = _sorted_working_set(points, V)
+    ids, X = _sorted_working_set(points, V, ell)
     take = min(ell, len(ids))
     if take == 0:
         return LocalOptResult((), 0.0, ell, zeta, 0, False)

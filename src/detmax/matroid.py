@@ -13,6 +13,7 @@ of exactly rank elements.
 
 import math
 import os
+from collections import Counter
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     PreconditionError,
     UnknownIdError,
 )
+from .geometry import UNLABELED, check_ids, first_true, int_column, is_count
 
 DEFAULT_ORACLE_CAP = 10**6
 ORACLE_CAP_ENV = "DETMAX_ORACLE_CAP"
@@ -42,23 +44,14 @@ def oracle_cap():
     return cap
 
 
-def _check_ids(ids, what):
-    out = []
-    for pid in ids:
-        if not isinstance(pid, (int, np.integer)) or isinstance(pid, bool) or pid < 0:
-            raise InstanceFormatError("%s id must be a non-negative int, got %r" % (what, pid))
-        out.append(int(pid))
-    return out
-
-
 class CardinalityConstraint:
     """Pick at most k elements; bases are the size-k subsets."""
 
     kind = "cardinality"
 
     def __init__(self, k, ground):
-        ground = frozenset(_check_ids(ground, "ground"))
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        ground = frozenset(check_ids(ground, "ground").tolist())
+        if not is_count(k, 1):
             raise InstanceFormatError("cardinality k must be a positive int, got %r" % (k,))
         if k > len(ground):
             raise InstanceFormatError("cardinality k=%d exceeds ground size %d" % (k, len(ground)))
@@ -87,18 +80,18 @@ class LaminarConstraint:
     kind = "laminar"
 
     def __init__(self, sets, ground):
-        self.ground = frozenset(_check_ids(ground, "ground"))
+        self.ground = frozenset(check_ids(ground, "ground").tolist())
         warnings = []
         raw = []
         for entry in sets:
             ids, cap = entry
-            members = frozenset(_check_ids(ids, "laminar set"))
+            members = frozenset(check_ids(ids, "laminar set").tolist())
             if not members:
                 raise InstanceFormatError("laminar set must be nonempty")
             stray = members - self.ground
             if stray:
                 raise UnknownIdError("laminar set mentions unknown id %d" % min(stray))
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+            if not is_count(cap):
                 raise InstanceFormatError("laminar cap must be a non-negative int, got %r" % (cap,))
             raw.append((members, cap))
         for (f1, _), (f2, _) in combinations(raw, 2):
@@ -108,23 +101,16 @@ class LaminarConstraint:
                     "family is not laminar: sets overlap without nesting (shared id %d)" % min(inter)
                 )
         # duplicates: keep the first occurrence with the smallest cap
-        dedup = []
-        seen = {}
+        dedup = {}
         for members, cap in raw:
-            if members in seen:
-                pos = seen[members]
-                kept = min(dedup[pos][1], cap)
-                if kept != dedup[pos][1] or cap != dedup[pos][1]:
-                    warnings.append("duplicate laminar set collapsed to cap %d" % kept)
-                dedup[pos] = (members, kept)
-            else:
-                seen[members] = len(dedup)
-                dedup.append((members, cap))
+            if members in dedup and cap != dedup[members]:
+                warnings.append("duplicate laminar set collapsed to cap %d" % min(cap, dedup[members]))
+            dedup[members] = min(cap, dedup.get(members, cap))
         # a nested set whose cap is not strictly below its ancestor's adds nothing
         survivors = []
-        for members, cap in dedup:
+        for members, cap in dedup.items():
             redundant = any(
-                members < other and cap >= ocap for other, ocap in dedup if other != members
+                members < other and cap >= ocap for other, ocap in dedup.items() if other != members
             )
             if redundant:
                 warnings.append(
@@ -137,24 +123,18 @@ class LaminarConstraint:
             if cap == 0:
                 warnings.append("cap 0 strips %d element(s) from selection" % len(members))
         self.warnings = tuple(warnings)
-        # forest structure: parent = smallest strict superset among survivors
-        n = len(self._sets)
-        parent = [None] * n
-        for i, (members, _) in enumerate(self._sets):
-            best = None
-            for j, (other, _) in enumerate(self._sets):
-                if i != j and members < other:
-                    if best is None or other < self._sets[best][0]:
-                        best = j
-            parent[i] = best
-        self._parent = tuple(parent)
-        kids = [[] for _ in range(n)]
-        for i, par in enumerate(parent):
-            if par is not None:
-                kids[par].append(i)
-        self._children = tuple(tuple(k) for k in kids)
+        # forest structure: the parent is the smallest strict superset, since
+        # in a laminar family the strict supersets of a set form a chain
+        parent = [
+            min((j for j, (other, _) in enumerate(self._sets) if members < other),
+                key=lambda j: len(self._sets[j][0]), default=None)
+            for members, _ in self._sets
+        ]
+        self._children = tuple(
+            tuple(i for i, par in enumerate(parent) if par == j) for j in range(len(parent))
+        )
         self._roots = tuple(i for i, par in enumerate(parent) if par is None)
-        covered = frozenset().union(*(m for m, _ in self._sets)) if self._sets else frozenset()
+        covered = frozenset().union(*(m for m, _ in self._sets))
         self.free_ids = self.ground - covered
         self._rank = len(self.free_ids) + sum(self._contribution(i) for i in self._roots)
 
@@ -188,10 +168,7 @@ class LaminarConstraint:
 
     def child_containing(self, i, pid):
         """The child of node i whose set contains pid, or None."""
-        for j in self._children[i]:
-            if pid in self._sets[j][0]:
-                return j
-        return None
+        return next((j for j in self._children[i] if pid in self._sets[j][0]), None)
 
     @property
     def rank(self):
@@ -208,53 +185,57 @@ class LaminarConstraint:
 class PartitionConstraint:
     """Per-group caps: at most caps[g] elements from group g.
 
-    ``groups`` maps every ground id to its group label in 0..len(caps)-1.
+    ``groups`` maps every ground id to its group label in 0..len(caps)-1;
+    :meth:`from_labels` takes the same as two parallel columns.  ``sets``
+    holds one (frozenset ids, cap) per group, as for a laminar family.
     """
 
     kind = "partition"
 
     def __init__(self, caps, groups):
+        vars(self).update(vars(PartitionConstraint.from_labels(caps, list(groups), list(groups.values()))))
+
+    @classmethod
+    def from_labels(cls, caps, ids, labels):
+        """Build from ground ids and their group labels, checked a column at a time."""
         caps = tuple(caps)
         if not caps:
             raise InstanceFormatError("partition needs at least one cap")
         for cap in caps:
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+            if not is_count(cap):
                 raise InstanceFormatError("partition caps must be non-negative ints, got %r" % (cap,))
+        ids = check_ids(ids, "ground")
+        lab, bad = int_column(labels, none_ok=True)
+        if bad < len(ids):
+            raise InstanceFormatError(
+                "point %d needs an integer group label, got %r" % (ids[bad], labels[bad])
+            )
+        bad = first_true(lab == UNLABELED)
+        if bad < len(ids):
+            raise InstanceFormatError("point %d has no group label; partition needs one" % ids[bad])
+        bad = first_true(lab >= len(caps))
+        if bad < len(ids):
+            raise InstanceFormatError(
+                "point %d has group %d but only %d caps were given" % (ids[bad], lab[bad], len(caps))
+            )
+        self = object.__new__(cls)
         self.caps = caps
-        ids = _check_ids(groups.keys(), "ground")
-        self.groups = {}
-        for pid in ids:
-            g = groups[pid]
-            if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-                raise InstanceFormatError("point %d needs an integer group label, got %r" % (pid, g))
-            if g >= len(caps):
-                raise InstanceFormatError(
-                    "point %d has group %d but only %d caps were given" % (pid, g, len(caps))
-                )
-            self.groups[pid] = g
-        self.ground = frozenset(self.groups)
-        warnings = []
-        members = {}
-        for pid, g in self.groups.items():
-            members.setdefault(g, set()).add(pid)
-        for g, cap in enumerate(caps):
-            if cap == 0 and members.get(g):
-                warnings.append("group %d has cap 0; its %d point(s) are unselectable" % (g, len(members[g])))
-        self.warnings = tuple(warnings)
-        self._parts = {g: frozenset(p) for g, p in members.items()}
-        self._rank = sum(min(caps[g], len(p)) for g, p in self._parts.items())
+        self.ground = frozenset(ids.tolist())
+        order = np.argsort(lab, kind="stable")
+        ends = np.searchsorted(lab[order], np.arange(len(caps) + 1))
+        self.sets = tuple(
+            (frozenset(ids[order[lo:hi]].tolist()), cap) for lo, hi, cap in zip(ends, ends[1:], caps)
+        )
+        self.warnings = tuple(
+            "group %d has cap 0; its %d point(s) are unselectable" % (g, len(part))
+            for g, (part, cap) in enumerate(self.sets) if cap == 0 and part
+        )
+        self._rank = sum(min(cap, len(part)) for part, cap in self.sets)
+        return self
 
     @property
     def rank(self):
         return self._rank
-
-    def part_ids(self, g):
-        """Ids labeled with group g (possibly empty)."""
-        return self._parts.get(g, frozenset())
-
-    @property
-    def num_groups(self):
-        return len(self.caps)
 
     def __repr__(self):
         return "PartitionConstraint(caps=%r, n=%d)" % (list(self.caps), len(self.ground))
@@ -265,24 +246,22 @@ def rank(constraint):
     return constraint.rank
 
 
-def is_independent(constraint, S):
-    """True iff the id-set S satisfies every cap of the constraint."""
-    sel = frozenset(S)
+def in_ground(constraint, ids):
+    """``ids`` as a frozenset; UnknownIdError names the smallest one outside the ground set."""
+    sel = frozenset(ids)
     stray = sel - constraint.ground
     if stray:
         raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
+    return sel
+
+
+def is_independent(constraint, S):
+    """True iff the id-set S satisfies every cap of the constraint."""
+    sel = in_ground(constraint, S)
     if len(sel) > constraint.rank:
         return False
     if constraint.kind == "cardinality":
         return len(sel) <= constraint.k
-    if constraint.kind == "partition":
-        counts = {}
-        for pid in sel:
-            g = constraint.groups[pid]
-            counts[g] = counts.get(g, 0) + 1
-            if counts[g] > constraint.caps[g]:
-                return False
-        return True
     for members, cap in constraint.sets:
         if len(sel & members) > cap:
             return False
@@ -316,25 +295,15 @@ def enumerate_bases(constraint, points):
     if constraint.kind == "partition":
         return _partition_bases(constraint, ids)
 
-    def _gen():
-        for combo in combinations(ids, k):
-            if is_base(constraint, combo):
-                yield combo
-
-    return _gen()
+    return (combo for combo in combinations(ids, k) if is_base(constraint, combo))
 
 
 def _partition_bases(constraint, ids):
     """Bases within sorted ``ids``: min(cap, group size) members of every group."""
-    stray = set(ids) - constraint.ground
-    if stray:
-        raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
-    members = [[] for _ in constraint.caps]
-    for pid in ids:
-        members[constraint.groups[pid]].append(pid)
+    in_ground(constraint, ids)
     choices = [
-        combinations(m, min(cap, len(constraint.part_ids(g))))
-        for g, (m, cap) in enumerate(zip(members, constraint.caps))
+        combinations(sorted(part.intersection(ids)), min(cap, len(part)))
+        for part, cap in constraint.sets
     ]
     yield from sorted(tuple(sorted(chain.from_iterable(p))) for p in product(*choices))
 
@@ -343,14 +312,8 @@ def cover_number(constraint):
     """Max number of family sets any single element belongs to (>= 1)."""
     if constraint.kind != "laminar":
         return 1
-    best = 0
-    counts = {}
-    for members, _ in constraint.sets:
-        for pid in members:
-            counts[pid] = counts.get(pid, 0) + 1
-            if counts[pid] > best:
-                best = counts[pid]
-    return max(best, 1)
+    counts = Counter(chain.from_iterable(members for members, _ in constraint.sets))
+    return max(counts.values(), default=1)
 
 
 def constraint_from_json(doc, points):
@@ -361,25 +324,24 @@ def constraint_from_json(doc, points):
     if kind == "cardinality":
         if "k" not in doc:
             raise InstanceFormatError("cardinality constraint needs 'k'")
-        return CardinalityConstraint(doc["k"], points.ids)
+        return CardinalityConstraint(doc["k"], points.id_array)
     if kind == "partition":
         if "caps" not in doc or not isinstance(doc["caps"], list):
             raise InstanceFormatError("partition constraint needs a 'caps' list")
-        groups = points.groups()
-        for pid, g in groups.items():
-            if g is None:
-                raise InstanceFormatError("point %d has no group label; partition needs one" % pid)
-        return PartitionConstraint(doc["caps"], groups)
+        return PartitionConstraint.from_labels(doc["caps"], points.id_array, points.labels)
     if kind == "laminar":
-        if "sets" not in doc or not isinstance(doc["sets"], list):
-            raise InstanceFormatError("laminar constraint needs a 'sets' list")
-        fam = []
-        for entry in doc["sets"]:
-            if not isinstance(entry, dict) or "ids" not in entry or "cap" not in entry:
-                raise InstanceFormatError("each laminar set needs 'ids' and 'cap'")
-            fam.append((entry["ids"], entry["cap"]))
-        return LaminarConstraint(fam, points.ids)
+        return LaminarConstraint(laminar_family(doc), points.id_array)
     raise InstanceFormatError("unknown constraint type %r" % (kind,))
+
+
+def laminar_family(doc):
+    """The (ids, cap) pairs of a laminar constraint document."""
+    if "sets" not in doc or not isinstance(doc["sets"], list):
+        raise InstanceFormatError("laminar constraint needs a 'sets' list")
+    for entry in doc["sets"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("ids"), list) or "cap" not in entry:
+            raise InstanceFormatError("each laminar set needs an 'ids' list and a 'cap'")
+    return [(entry["ids"], entry["cap"]) for entry in doc["sets"]]
 
 
 def constraint_to_json(constraint):

@@ -19,7 +19,7 @@ from .coreset import (
     peeling_coreset,
 )
 from .errors import PreconditionError
-from .geometry import PointSet, merge_pointsets
+from .geometry import PointSet, is_count, merge_pointsets
 from .harness import run_distributed
 from .instances import (
     InstanceSpec,
@@ -393,7 +393,7 @@ SUITES = {
 
 def run_suites(name="all", seed=0):
     """Run one named property body, or all of them; returns (name, ok, detail) triples."""
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not is_count(seed):
         raise PreconditionError("seed must be a non-negative int, got %r" % (seed,))
     if name != "all" and name not in SUITES:
         raise PreconditionError("unknown suite %r (have: %s)" % (name, ", ".join(SUITES)))

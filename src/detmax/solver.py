@@ -22,6 +22,13 @@ from .objective import objective_value
 _BATCH = 1 << 14
 
 
+def json_float(v):
+    """A log value for JSON: None stays None and -inf becomes "-inf"."""
+    if v is None:
+        return None
+    return "-inf" if v == -math.inf else float(v)
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Solver outcome: selected ids, log objective, feasibility, method tag.
@@ -38,10 +45,9 @@ class SolveResult:
     method: str
 
     def to_json(self):
-        val = self.log_value
         return {
             "ids": list(self.ids),
-            "log_value": "-inf" if val == -math.inf else val,
+            "log_value": json_float(self.log_value),
             "feasible": self.feasible,
             "method": self.method,
         }
@@ -49,12 +55,10 @@ class SolveResult:
 
 def _batched_values(points, bases):
     """Objective for a list of equal-size id tuples, in one vector sweep."""
-    ids = list(points.ids)
-    pos_of = {pid: i for i, pid in enumerate(ids)}
     coords = points.coords
     k = len(bases[0])
     d = points.dim
-    pos = np.array([[pos_of[i] for i in base] for base in bases], dtype=np.intp)
+    pos = points.index(bases)
     out = np.empty(len(bases))
     for lo in range(0, len(bases), _BATCH):
         chunk = pos[lo : lo + _BATCH]

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from detmax import (
+    MAX_COORD,
     MAX_DIM,
+    InstanceFormatError,
     MatrixInvariantError,
     PointSet,
     UnknownIdError,
+    brute_force_opt,
+    build_coreset,
+    load_instance,
     load_pointset,
     log_det_psd,
     logdet_psd_batch,
     merge_pointsets,
+    run_distributed,
+    solve_on_coreset,
 )
 from exact_oracles import exact_gram_det, exact_log
 
@@ -30,9 +37,9 @@ class TestPointSet:
         assert len(ps) == 3
         assert ps.dim == 2
         assert list(ps.ids) == [0, 1, 2]
-        assert np.allclose(ps.vector(2), [3.0, 3.0])
-        assert ps.group_of(1) == 0
-        assert ps.groups() == {0: 0, 1: 0, 2: 1}
+        assert np.allclose(ps.rows([2])[0], [3.0, 3.0])
+        assert ps.labels[ps.index(1)] == 0
+        assert ps.labels.tolist() == [0, 0, 1]
         assert 2 in ps and 7 not in ps
 
     def test_insertion_order_preserved(self):
@@ -57,7 +64,7 @@ class TestPointSet:
     def test_unknown_id(self):
         ps = _ps([(1.0, 0.0)])
         with pytest.raises(UnknownIdError):
-            ps.vector(9)
+            ps.index(9)
         with pytest.raises(UnknownIdError):
             ps.rows([0, 9])
 
@@ -65,8 +72,8 @@ class TestPointSet:
         ps = _ps([(1.0, 0.0), (0.0, 1.0), (2.0, 2.0)], groups=[0, 1, 1])
         sub = ps.restrict([2, 0])
         assert sorted(sub.ids) == [0, 2]
-        assert np.allclose(sub.vector(2), [2.0, 2.0])
-        assert sub.group_of(2) == 1
+        assert np.allclose(sub.rows([2])[0], [2.0, 2.0])
+        assert sub.labels[sub.index(2)] == 1
 
     def test_coords_read_only(self):
         ps = _ps([(1.0, 0.0)])
@@ -78,7 +85,7 @@ class TestPointSet:
         b = PointSet(2, [(1, np.array([0.0, 1.0]), 1)])
         m = merge_pointsets(a, b)
         assert sorted(m.ids) == [0, 1]
-        assert m.group_of(1) == 1
+        assert m.labels[m.index(1)] == 1
 
     def test_merge_collision_rejected(self):
         a = PointSet(2, [(0, np.array([1.0, 0.0]), None)])
@@ -160,9 +167,41 @@ class TestLoaders:
         }
         ps = load_pointset(doc)
         assert sorted(ps.ids) == [0, 3]
-        assert ps.group_of(3) == 1
-        assert np.allclose(ps.vector(3), [0.5, -2.0])
+        assert ps.labels[ps.index(3)] == 1
+        assert np.allclose(ps.rows([3])[0], [0.5, -2.0])
 
     def test_json_rejects_bad_doc(self):
         with pytest.raises(Exception):
             load_pointset({"dim": 2, "points": [{"id": 0, "coords": [1.0]}]})
+
+
+class TestCoordinateBound:
+    """Coordinates up to MAX_COORD keep every Gram entry finite; larger ones are refused."""
+
+    @staticmethod
+    def _doc(X, constraint):
+        return {"dim": X.shape[1], "constraint": constraint,
+                "points": [{"id": i, "group": i % 3, "coords": x} for i, x in enumerate(X.tolist())]}
+
+    @pytest.mark.parametrize("d, constraint", [
+        (4, {"type": "partition", "caps": [2, 1, 1]}),
+        (2, {"type": "partition", "caps": [2, 1, 1]}),
+        (4, {"type": "cardinality", "k": 3}),
+    ])
+    def test_scaled_to_the_bound_selects_the_same_ids(self, d, constraint):
+        X = np.random.default_rng(0).standard_normal((30, d))
+        seen = []
+        for scale in (1.0, MAX_COORD / np.abs(X).max()):
+            points, cons, _ = load_instance(self._doc(scale * X, constraint))
+            cs = build_coreset(points, points.ids, cons, 1.01, "auto")
+            report = run_distributed(points, cons, 2, 0, oracle="force")
+            assert math.isfinite(report.coreset_value) and math.isfinite(report.full_value)
+            seen.append((sorted(cs.ids), solve_on_coreset(points, cons, cs.ids).ids,
+                         brute_force_opt(points, cons).ids, round(report.ratio_log, 9)))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("scale", [1e160, 1e154])
+    def test_beyond_the_bound_is_refused(self, scale):
+        X = np.random.default_rng(0).standard_normal((30, 4))
+        with pytest.raises(InstanceFormatError, match="beyond"):
+            load_instance(self._doc(scale * X, {"type": "cardinality", "k": 3}))

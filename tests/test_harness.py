@@ -217,8 +217,27 @@ class TestCli:
         (None, ["bench", "--s", "0"]),
         (None, ["bench", "--s", "-1"]),
         (None, ["bench", "--k", "0"]),
+        # InstanceFormatError: coordinates that are not numbers, a dim that is a bool
+        ({"dim": 2, "points": [{"id": 0, "coords": [1.0, "a"]}],
+          "constraint": {"type": "cardinality", "k": 1}}, RUN),
+        ({"dim": 2, "points": [{"id": 0, "coords": [1.0, [2]]}],
+          "constraint": {"type": "cardinality", "k": 1}}, RUN),
+        ({"dim": 2, "points": [{"id": 0, "coords": {"a": 1}}],
+          "constraint": {"type": "cardinality", "k": 1}}, RUN),
+        ({"dim": True, "points": [{"id": 0, "coords": [1.0]}],
+          "constraint": {"type": "cardinality", "k": 1}}, RUN),
+        # InstanceFormatError: a laminar set whose ids are not a list
+        ({"dim": 2, "points": [{"id": 0, "coords": [1.0, 0.0]}],
+          "constraint": {"type": "laminar", "sets": [{"ids": None, "cap": 1}]}}, RUN),
+        ({"dim": 2, "points": [{"id": 0, "coords": [1.0, 0.0]}],
+          "constraint": {"type": "laminar", "sets": [{"ids": 5, "cap": 1}]}}, RUN),
+        # InstanceFormatError: a coordinate beyond MAX_COORD
+        ({"dim": 2, "points": [{"id": 0, "coords": [1e308, 1e308]}],
+          "constraint": {"type": "cardinality", "k": 1}}, RUN),
     ], ids=["short-point", "unknown-id", "not-json", "missing-file", "caps", "perm", "Ms",
-            "lb-no-caps", "empty-caps", "bench-s-0", "bench-s-neg", "bench-k-0"])
+            "lb-no-caps", "empty-caps", "bench-s-0", "bench-s-neg", "bench-k-0",
+            "str-coord", "nested-coord", "dict-coords", "bool-dim", "laminar-ids-null",
+            "laminar-ids-int", "huge-coord"])
     def test_input_errors_exit_2(self, tmp_path, capsys, content, argv):
         path = tmp_path / "inst.json"
         if content is not None:
@@ -226,6 +245,14 @@ class TestCli:
         argv = [str(path) if a == "{path}" else a for a in argv] + ["--out", str(tmp_path / "out.json")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_gen_laminar_takes_k_from_the_family(self, tmp_path):
+        out = tmp_path / "lam.json"
+        sets = json.dumps([{"ids": [0, 1, 2], "cap": 1}])
+        assert main(["gen", "--n", "10", "--d", "2", "--constraint", "laminar",
+                     "--laminar-sets", sets, "--out", str(out)]) == 0
+        # one of the three capped ids plus the seven free ones
+        assert json.loads(out.read_text())["meta"]["spec"]["k"] == 8
 
     def test_lb_low_dim_without_caps_names_the_flag(self, capsys):
         assert main(["gen", "--generator", "lb-low-dim", "--d", "2"]) == 2

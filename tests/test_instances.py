@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from detmax import (
+    InstanceFormatError,
     InstanceSpec,
     PreconditionError,
     RejectionSamplingError,
@@ -39,8 +40,7 @@ class TestRandomInstance:
         assert constraint.kind == "partition"
         assert constraint.rank == 3
         # round-robin group assignment touches every group
-        labels = {points.group_of(i) for i in points.ids}
-        assert labels == {0, 1}
+        assert set(points.labels.tolist()) == {0, 1}
 
     def test_grid_mode_integer_coords(self):
         spec = InstanceSpec(
@@ -215,3 +215,48 @@ class TestHardInstance:
             hard_instance(4, 0.9, 8, seed=0)  # beta above d/(4 ln^2 d)
         with pytest.raises(PreconditionError):
             hard_instance(4, 0.0117, 9, seed=0)  # k not a multiple of d
+
+
+def _doc(*points, dim=2, constraint=None):
+    """An instance document whose points are (id, coords, group) triples."""
+    return {
+        "dim": dim,
+        "points": [{"id": pid, "coords": c, "group": g} for pid, c, g in points],
+        "constraint": constraint or {"type": "cardinality", "k": 1},
+    }
+
+
+_OK = ((0, [1.0, 0.0], 0), (7, [0.0, 1.0], 1))
+_PART = {"type": "partition", "caps": [1, 1]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_doc(_OK[0], ("5", [1.0, 1.0], 0), _OK[1]), "point id must be a non-negative int, got '5'"),
+    (_doc(_OK[0], (True, [1.0, 1.0], 0), _OK[1]), "point id must be a non-negative int, got True"),
+    (_doc(_OK[0], (-3, [1.0, 1.0], 0), _OK[1]), "point id must be a non-negative int, got -3"),
+    (_doc(_OK[0], (7, [1.0, 1.0], 0), _OK[1]), "duplicate point id 7"),
+    (_doc(_OK[0], (5, [1.0], 0), _OK[1]), "point 5 has 1 coordinates, expected 2"),
+    (_doc(_OK[0], (5, [1.0, math.inf], 0), _OK[1]), "point 5 has non-finite coordinates"),
+    (_doc(_OK[0], (5, [math.nan, 1.0], 0), _OK[1]), "point 5 has non-finite coordinates"),
+    (_doc(_OK[0], (5, [1.0, 1.0], "a"), _OK[1]), "group of point 5 must be a non-negative int or None"),
+    (_doc(_OK[0], (5, [1.0, 1.0], -1), _OK[1]), "group of point 5 must be a non-negative int or None"),
+    (_doc(_OK[0], (5, [1.0, 1.0], None), _OK[1], constraint=_PART),
+     "point 5 has no group label; partition needs one"),
+    (_doc(_OK[0], (5, [1.0, 1.0], 2), _OK[1], constraint=_PART),
+     "point 5 has group 2 but only 2 caps were given"),
+    (_doc(_OK[0], dim=0), "dim must be a positive integer, got 0"),
+    # several faults: the first point with any fault is named, its first fault wins
+    (_doc(_OK[0], (5, [1.0, 1.0], "a"), (6, [1.0], 0), ("x", [1.0, 1.0], 0)),
+     "group of point 5 must be a non-negative int or None"),
+    (_doc(_OK[0], (5, [1.0], 0), ("x", [1.0, 1.0], 0)), "point 5 has 1 coordinates, expected 2"),
+    (_doc((5, [1.0], "a"), (5, [1.0, 1.0], 0)), "point 5 has 1 coordinates, expected 2"),
+    (_doc(_OK[0], (0, [math.inf], 0)), "duplicate point id 0"),
+], ids=["str-id", "bool-id", "negative-id", "duplicate-id", "short-point", "inf-coord", "nan-coord",
+        "str-group", "negative-group", "no-group", "group-without-cap", "dim-0",
+        "first-point-wins", "coords-before-later-id", "coords-before-group",
+        "duplicate-before-coords"])
+def test_load_instance_error_messages(doc, message):
+    with pytest.raises(InstanceFormatError) as exc:
+        load_instance(doc)
+    assert str(exc.value) == message
+

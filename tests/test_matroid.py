@@ -129,8 +129,7 @@ class TestPartition:
     def test_part_accessors(self):
         groups = {0: 0, 1: 1, 2: 0}
         c = PartitionConstraint((1, 1), groups)
-        assert c.num_groups == 2
-        assert sorted(c.part_ids(0)) == [0, 2]
+        assert [(sorted(part), cap) for part, cap in c.sets] == [([0, 2], 1), ([1], 1)]
 
 
 class TestLaminar:
