@@ -137,7 +137,7 @@ def _cmd_gen(args):
 
 def _cmd_coreset(args):
     points, constraint, _ = load_instance(_load_json(args.instance))
-    cs = build_coreset(points, points.ids, constraint, args.zeta, args.regime)
+    cs = build_coreset(points, points.id_array, constraint, args.zeta, args.regime)
     _dump_json(coreset_to_json(cs), args.out)
     for w in cs.warnings:
         print("warning: %s" % w, file=sys.stderr)

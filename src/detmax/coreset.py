@@ -29,10 +29,12 @@ high-rank regime, (k*ell)**r for laminar families with cover number r.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantError, PreconditionError
-from .geometry import int_column, is_count
-from .localsearch import DEFAULT_ZETA, local_opt
-from .matroid import in_ground
+from .geometry import distinct_ids, int_column, is_count
+from .localsearch import DEFAULT_ZETA, check_search, local_opt, search
+from .matroid import ground_labels, in_ground
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde
 
 
@@ -51,6 +53,24 @@ class PeelingCoreset:
         return frozenset().union(*(layer.ids for layer in self.layers))
 
 
+def _peel(ids, X, threshold, ell, zeta):
+    """Peel up to ``threshold`` disjoint local optima out of the rows of X (ids ``ids``, ascending)."""
+    alive = np.ones(len(ids), dtype=bool)
+    layers = []
+    for _ in range(threshold):
+        left = np.flatnonzero(alive)
+        if not len(left):
+            break
+        layers.append(search(X[left], ids[left], ell, zeta))
+        alive[np.searchsorted(ids, layers[-1].ids)] = False
+    pc = PeelingCoreset(tuple(ids.tolist()), threshold, ell, zeta, tuple(layers))
+    if len(pc.union) != sum(len(layer.ids) for layer in layers):
+        raise InvariantError("peeling layers must be disjoint")
+    if len(pc.union) > threshold * ell:
+        raise InvariantError("peeling size bound violated")
+    return pc
+
+
 def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
     """Peel up to ``threshold`` disjoint local optima out of V.
 
@@ -58,23 +78,11 @@ def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
     threshold*ell is checked either way.  Layers whose working set had
     deficient rank come back flagged degenerate but still count as layers.
     """
-    if not isinstance(threshold, int) or threshold < 1:
+    if not is_count(threshold, 1):
         raise PreconditionError("threshold must be a positive int, got %r" % (threshold,))
-    remaining = set(V)
-    layers = []
-    for _ in range(threshold):
-        if not remaining:
-            break
-        res = local_opt(points, remaining, ell, zeta)
-        layers.append(res)
-        remaining -= res.id_set
-    pc = PeelingCoreset(tuple(sorted(set(V))), threshold, ell, zeta, tuple(layers))
-    union = pc.union
-    if len(union) != sum(len(l.ids) for l in layers):
-        raise InvariantError("peeling layers must be disjoint")
-    if len(union) > threshold * ell:
-        raise InvariantError("peeling size bound violated")
-    return pc
+    check_search(points.dim, ell, zeta)
+    ids = distinct_ids(V)
+    return _peel(ids, points.rows(ids), threshold, ell, zeta)
 
 
 @dataclass(frozen=True)
@@ -135,58 +143,53 @@ class CoresetResult:
         return [list(layer) for layer in self.layers]
 
 
-def _degenerate_warnings(prefix, layers):
-    return tuple(
-        "%s layer %d is degenerate (working set rank below ell)" % (prefix, i)
-        for i, layer in enumerate(layers)
-        if layer.degenerate
-    )
-
-
-def _peeled_result(kind, regime, vset, ell, zeta, bound, labeled, structure):
-    """Finish a partition or cardinality coreset from (label, peeling) pairs."""
-    ids = frozenset().union(*(pc.union for _, pc in labeled))
-    if len(ids) > bound:
-        raise InvariantError("%s coreset size bound violated" % kind)
-    return CoresetResult(
-        ids=ids,
-        kind=kind,
-        regime=regime,
-        source=tuple(sorted(vset)),
-        ell=ell,
-        zeta=zeta,
-        declared_bound=bound,
-        layers=tuple(layer.ids for _, pc in labeled for layer in pc.layers),
-        structure=structure,
-        warnings=tuple(w for label, pc in labeled for w in _degenerate_warnings(label, pc.layers)),
-    )
-
-
 def partition_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     """Coreset for a partition constraint over the working set V.
 
     Each group's share of V is peeled.  With ell equal to the constraint
     rank k (only possible when k <= dim) the threshold is 1, a single local
     optimum per group, and the size bound is s*k.  With ell < k the
-    threshold is the group's own cap and the size bound is k*ell.
+    threshold is the group's own cap and the size bound is k*ell.  A
+    cardinality constraint is peeled as its one group, with cap k.  V becomes
+    one ascending id array whose rows are looked up once, and each group's
+    block of rows is gathered once.
     """
-    if constraint.kind != "partition":
+    if constraint.kind not in ("partition", "cardinality"):
         raise PreconditionError("partition_coreset needs a partition constraint")
     k = constraint.rank
-    vset = in_ground(constraint, V)
+    ids = distinct_ids(V)
+    labels = ground_labels(constraint, ids)
     if ell > k:
         raise PreconditionError("ell=%d exceeds constraint rank %d" % (ell, k))
+    check_search(points.dim, ell, zeta)
     lowk = ell == k
+    rows = points.index(ids)
     parts = {}
-    for g, (part, cap) in enumerate(constraint.sets):
-        share = vset & part
-        threshold = 1 if lowk else cap
-        if share and threshold:
-            parts[g] = peeling_coreset(points, share, threshold, ell, zeta)
-    regime = REGIME_LOWK if lowk else REGIME_HIGHK
+    for g, cap in enumerate(constraint.caps):
+        share = labels == g
+        if (lowk or cap) and share.any():
+            parts[g] = _peel(ids[share], points.coords[rows[share]], 1 if lowk else cap, ell, zeta)
+    layers = [layer for pc in parts.values() for layer in pc.layers]
+    chosen = frozenset().union(*(layer.ids for layer in layers))
     bound = len(constraint.caps) * k if lowk else k * ell
-    labeled = [("group %d" % g, pc) for g, pc in parts.items()]
-    return _peeled_result("partition", regime, vset, ell, zeta, bound, labeled, {"parts": parts})
+    if len(chosen) > bound:
+        raise InvariantError("%s coreset size bound violated" % constraint.kind)
+    names = ["group %d" % g for g in parts] if constraint.kind == "partition" else ["selection"]
+    return CoresetResult(
+        ids=chosen,
+        kind=constraint.kind,
+        regime=REGIME_LOWK if lowk else REGIME_HIGHK,
+        source=tuple(ids.tolist()),
+        ell=ell,
+        zeta=zeta,
+        declared_bound=bound,
+        layers=tuple(layer.ids for layer in layers),
+        structure={"parts": parts},
+        warnings=tuple(
+            "%s layer %d is degenerate (working set rank below ell)" % (name, i)
+            for name, pc in zip(names, parts.values()) for i, layer in enumerate(pc.layers) if layer.degenerate
+        ),
+    )
 
 
 def _cover_depth(constraint, i):
@@ -244,7 +247,7 @@ def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     """
     if constraint.kind != "laminar":
         raise PreconditionError("laminar_coreset needs a laminar constraint")
-    vset = in_ground(constraint, V)
+    vset = in_ground(constraint, distinct_ids(V).tolist())
     warnings = []
     roots = {}
     for i in constraint.roots:
@@ -302,19 +305,11 @@ def build_coreset(points, V, constraint, zeta=DEFAULT_ZETA, regime="auto"):
     else:
         raise PreconditionError("regime must be 'auto', 'lowk', or 'highk', got %r" % (regime,))
 
-    if constraint.kind == "partition":
-        return partition_coreset(points, V, constraint, ell, zeta)
     if constraint.kind == "laminar":
         return laminar_coreset(points, V, constraint, ell, zeta)
-    if constraint.kind != "cardinality":
+    if constraint.kind not in ("partition", "cardinality"):
         raise PreconditionError("unsupported constraint kind %r" % (constraint.kind,))
-    vset = in_ground(constraint, V)
-    threshold = 1 if regime == REGIME_LOWK else k
-    selection = peeling_coreset(points, vset, threshold, ell, zeta)
-    labeled = [("selection", selection)]
-    return _peeled_result(
-        "cardinality", regime, vset, ell, zeta, threshold * ell, labeled, {"selection": selection}
-    )
+    return partition_coreset(points, V, constraint, ell, zeta)
 
 
 def compose(coresets):
@@ -327,22 +322,20 @@ def compose(coresets):
     if not parts:
         raise PreconditionError("compose needs at least one coreset")
     first = parts[0]
-    seen = set()
     for cs in parts:
         if (cs.ell, cs.zeta, cs.kind, cs.regime) != (first.ell, first.zeta, first.kind, first.regime):
             raise PreconditionError("compose: coresets disagree on (ell, zeta, kind, regime)")
-        overlap = seen & set(cs.source)
-        if overlap:
-            raise PreconditionError(
-                "compose: working sets overlap (id %d appears twice)" % min(overlap)
-            )
-        seen.update(cs.source)
+    source = np.concatenate([np.fromiter(cs.source, np.int64, len(cs.source)) for cs in parts])
+    source.sort()
+    shared = source[1:][source[1:] == source[:-1]]
+    if len(shared):
+        raise PreconditionError("compose: working sets overlap (id %d appears twice)" % shared[0])
     ids = frozenset().union(*(cs.ids for cs in parts))
     return CoresetResult(
         ids=ids,
         kind="composed",
         regime=first.regime,
-        source=tuple(sorted(seen)),
+        source=tuple(source.tolist()),
         ell=first.ell,
         zeta=first.zeta,
         declared_bound=sum(cs.declared_bound for cs in parts),

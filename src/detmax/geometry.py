@@ -78,6 +78,22 @@ def check_ids(ids, what):
     return col
 
 
+def distinct_ids(ids):
+    """The distinct ``ids`` (any iterable) ascending; UnknownIdError names the first that is not an int id."""
+    ids = ids if isinstance(ids, np.ndarray) else list(ids)
+    col, stop = int_column(ids)
+    if stop < len(ids):
+        raise UnknownIdError("no point with id %s" % (ids[stop],))
+    col = np.sort(col, kind="stable")  # np.unique hashes first and is 100x slower on sorted input
+    return np.concatenate((col[:1], col[1:][col[1:] != col[:-1]]))
+
+
+def sorted_positions(keys, q):
+    """Where the ints ``q`` would sit in the ascending int array ``keys``, and which of them are keys."""
+    pos = np.minimum(np.searchsorted(keys, q), max(len(keys) - 1, 0))
+    return pos, (keys[pos] == q) if len(keys) else np.zeros(np.shape(q), dtype=bool)
+
+
 def _numbers(coords):
     """True for a flat list, tuple or array of real numbers."""
     return isinstance(coords, (list, tuple, np.ndarray)) and all(isinstance(c, numbers.Real) for c in coords)
@@ -183,9 +199,8 @@ class PointSet:
     def index(self, ids):
         """Row positions of ``ids`` (any shape, repeats allowed); UnknownIdError names the first unknown."""
         q = np.asarray(ids)
-        if q.dtype.kind in "iu" and len(self):
-            pos = np.minimum(np.searchsorted(self._sorted, q), len(self) - 1)
-            found = self._sorted[pos] == q
+        if q.dtype.kind in "iu":
+            pos, found = sorted_positions(self._sorted, q)
             if found.all():
                 return self._order[pos]
             missing = q[~found].item(0)

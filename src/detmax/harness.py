@@ -65,7 +65,7 @@ class RunReport:
 
 
 def _split_ids(points, m_parts, seed, split):
-    """The ids of each part, in the point set's order."""
+    """The ids of each part as an int array, in the point set's order."""
     if split == "random":
         part = np.random.default_rng(seed).integers(0, m_parts, size=len(points))
     elif split == "by-group":
@@ -74,7 +74,7 @@ def _split_ids(points, m_parts, seed, split):
         part = points.labels % m_parts
     else:
         raise PreconditionError("split must be 'random' or 'by-group', got %r" % (split,))
-    return [points.id_array[part == p].tolist() for p in range(m_parts)]
+    return [points.id_array[part == p] for p in range(m_parts)]
 
 
 def run_distributed(
@@ -125,7 +125,7 @@ def run_distributed(
     elif coreset_mode == "peel":
         built = []
         for idx, ids in enumerate(part_ids):
-            if not ids:
+            if not len(ids):
                 part_rows.append({"part": idx, "size": 0, "coreset_size": 0, "declared_bound": 0})
                 continue
             cs = build_coreset(points, ids, constraint, zeta, regime)
@@ -231,7 +231,7 @@ def bench_scaling(d, k, n_list, seed, s=3, zeta=DEFAULT_ZETA, repeats=1):
         seconds = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            cs = build_coreset(points, points.ids, constraint, zeta, "auto")
+            cs = build_coreset(points, points.id_array, constraint, zeta, "auto")
             seconds.append(time.perf_counter() - t0)
         rows.append({"n": n, "seconds": min(seconds), "coreset_size": len(cs.ids)})
     return rows

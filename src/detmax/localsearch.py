@@ -8,7 +8,10 @@ until no exchange clears the zeta threshold.
 
 Determinism: each sweep adopts the exchange with the largest volume ratio,
 ties resolving to the smallest outgoing id, then the smallest incoming id.
-Reruns on the same input produce the same selection.
+The rule sees ratios as computed in floating point: exchanges whose ratios
+tie exactly in real arithmetic but round differently are decided by the
+rounding, not by the ids.  Reruns on the same input produce the same
+selection.
 
 One sweep scores every exchange at once in closed form.  With A the rows of
 U, G = A A^T, B = X A^T and C = B G^-1, the exchange of member e for
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SwapLimitError
-from .geometry import SINGULAR_PIVOT_REL, is_count, logdet_psd_batch
+from .geometry import SINGULAR_PIVOT_REL, distinct_ids, is_count, logdet_psd_batch
 
 DEFAULT_ZETA = 1.01
 SWAP_LIMIT = 10**6
@@ -59,14 +62,14 @@ def _nu_rows(rows):
     return float(logdet_psd_batch((rows @ rows.T)[None])[0])
 
 
-def _sorted_working_set(points, V, ell):
-    """V's ids sorted, and their rows, for a search of ``ell`` picks."""
+def check_search(dim, ell, zeta=DEFAULT_ZETA):
+    """PreconditionError unless zeta >= 1 and ``ell`` is a positive int of at most ``dim``."""
+    if not zeta >= 1.0:
+        raise PreconditionError("zeta must be >= 1, got %r" % (zeta,))
     if not is_count(ell, 1):
         raise PreconditionError("ell must be a positive int, got %r" % (ell,))
-    if ell > points.dim:
-        raise PreconditionError("ell=%d exceeds dim=%d" % (ell, points.dim))
-    ids = sorted(set(V))
-    return ids, points.rows(ids)
+    if ell > dim:
+        raise PreconditionError("ell=%d exceeds dim=%d" % (ell, dim))
 
 
 def _greedy_positions(X, take):
@@ -106,10 +109,9 @@ def greedy_init(points, V, ell):
     span of the current picks (largest squared norm first), smallest id on
     ties.
     """
-    ids, X = _sorted_working_set(points, V, ell)
-    take = min(ell, len(ids))
-    picked = _greedy_positions(X, take)
-    return tuple(ids[p] for p in picked)
+    check_search(points.dim, ell)
+    ids = distinct_ids(V)
+    return tuple(ids[_greedy_positions(points.rows(ids), min(ell, len(ids)))].tolist())
 
 
 def _exchange_ratios(X, norms, cur_pos):
@@ -125,6 +127,33 @@ def _exchange_ratios(X, norms, cur_pos):
     ratio = np.multiply(C, C, out=B)  # B is spent; its n x ell buffer is reused
     ratio += resid[:, None] * np.diag(g_inv)
     return ratio
+
+
+def search(X, ids, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
+    """Greedy seeding plus best-improvement swaps over the rows of X, to a zeta local optimum.
+
+    ``ids`` holds the id of each row of X, ascending, so that the lowest row
+    wins a tie; ``ell`` is at most X's width.  See :func:`local_opt`.
+    """
+    take = min(ell, len(X))
+    cur_pos = sorted(_greedy_positions(X, take))
+    val = _nu_rows(X[cur_pos])
+    norms = np.einsum("ij,ij->i", X, X)
+    swaps = 0
+    while val > -math.inf and len(X) > take:
+        ratio = _exchange_ratios(X, norms, cur_pos)
+        ratio[cur_pos] = -np.inf
+        into = ratio.argmax(axis=0)  # the best outsider for each member; ties: smallest in id
+        best = ratio[into, np.arange(take)]
+        j = int(np.argmax(best))  # ties: smallest out id
+        if not best[j] > zeta:
+            break
+        cur_pos = sorted(cur_pos[:j] + cur_pos[j + 1:] + [int(into[j])])
+        val = _nu_rows(X[cur_pos])
+        swaps += 1
+        if swaps > swap_limit:
+            raise SwapLimitError("local search exceeded %d accepted swaps" % swap_limit)
+    return LocalOptResult(tuple(ids[cur_pos].tolist()), val, ell, zeta, swaps, val == -math.inf)
 
 
 def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
@@ -143,34 +172,9 @@ def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
     degenerate result (value -inf) with no swaps attempted, since no
     exchange can repair the rank.
     """
-    if not zeta >= 1.0:
-        raise PreconditionError("zeta must be >= 1, got %r" % (zeta,))
-    ids, X = _sorted_working_set(points, V, ell)
-    take = min(ell, len(ids))
-    if take == 0:
-        return LocalOptResult((), 0.0, ell, zeta, 0, False)
-    cur_pos = sorted(_greedy_positions(X, take))
-    val = _nu_rows(X[cur_pos])
-    if val == -math.inf or len(ids) == take:
-        return LocalOptResult(
-            tuple(ids[p] for p in cur_pos), val, ell, zeta, 0, val == -math.inf
-        )
-    norms = np.einsum("ij,ij->i", X, X)
-    swaps = 0
-    while True:
-        ratio = _exchange_ratios(X, norms, cur_pos)
-        ratio[cur_pos] = -np.inf
-        best = ratio.max(axis=0)
-        j = int(np.argmax(best))  # ties: smallest out id
-        if not best[j] > zeta:
-            break
-        into = int(np.argmax(ratio[:, j]))  # ties: smallest in id
-        cur_pos = sorted(cur_pos[:j] + cur_pos[j + 1:] + [into])
-        val = _nu_rows(X[cur_pos])
-        swaps += 1
-        if swaps > swap_limit:
-            raise SwapLimitError("local search exceeded %d accepted swaps" % swap_limit)
-    return LocalOptResult(tuple(ids[p] for p in cur_pos), val, ell, zeta, swaps, False)
+    check_search(points.dim, ell, zeta)
+    ids = distinct_ids(V)
+    return search(points.rows(ids), ids, ell, zeta, swap_limit)
 
 
 def verify_local_opt(points, V, selection, zeta, slack=1e-9):

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     UnknownIdError,
 )
-from .geometry import UNLABELED, check_ids, first_true, int_column, is_count
+from .geometry import UNLABELED, check_ids, first_true, int_column, is_count, sorted_positions
 
 DEFAULT_ORACLE_CAP = 10**6
 ORACLE_CAP_ENV = "DETMAX_ORACLE_CAP"
@@ -44,18 +44,29 @@ def oracle_cap():
     return cap
 
 
+def ground_labels(constraint, ids):
+    """The group of each id of the int array ``ids``; UnknownIdError names the smallest outside the ground set."""
+    pos, found = sorted_positions(constraint.ground_ids, ids)
+    if not found.all():
+        raise UnknownIdError("id %d is not in the constraint's ground set" % ids[~found].min())
+    return constraint.ground_labels[pos]
+
+
 class CardinalityConstraint:
-    """Pick at most k elements; bases are the size-k subsets."""
+    """Pick at most k elements: bases are the size-k subsets, as in a partition of one group with cap k."""
 
     kind = "cardinality"
 
     def __init__(self, k, ground):
-        ground = frozenset(check_ids(ground, "ground").tolist())
+        self.ground_ids = np.sort(check_ids(ground, "ground"))
+        self.ground_labels = np.zeros(len(self.ground_ids), dtype=np.int64)
+        ground = frozenset(self.ground_ids.tolist())
         if not is_count(k, 1):
             raise InstanceFormatError("cardinality k must be a positive int, got %r" % (k,))
         if k > len(ground):
             raise InstanceFormatError("cardinality k=%d exceeds ground size %d" % (k, len(ground)))
         self.k = k
+        self.caps = (k,)
         self.ground = ground
         self.warnings = ()
 
@@ -188,6 +199,7 @@ class PartitionConstraint:
     ``groups`` maps every ground id to its group label in 0..len(caps)-1;
     :meth:`from_labels` takes the same as two parallel columns.  ``sets``
     holds one (frozenset ids, cap) per group, as for a laminar family.
+    ``ground_ids`` holds the ground ids ascending and ``ground_labels`` their groups.
     """
 
     kind = "partition"
@@ -220,12 +232,14 @@ class PartitionConstraint:
             )
         self = object.__new__(cls)
         self.caps = caps
-        self.ground = frozenset(ids.tolist())
         order = np.argsort(lab, kind="stable")
         ends = np.searchsorted(lab[order], np.arange(len(caps) + 1))
         self.sets = tuple(
             (frozenset(ids[order[lo:hi]].tolist()), cap) for lo, hi, cap in zip(ends, ends[1:], caps)
         )
+        self.ground = frozenset().union(*(part for part, _ in self.sets))  # shares the sets' int objects
+        order = np.argsort(ids, kind="stable")
+        self.ground_ids, self.ground_labels = ids[order], lab[order]
         self.warnings = tuple(
             "group %d has cap 0; its %d point(s) are unselectable" % (g, len(part))
             for g, (part, cap) in enumerate(self.sets) if cap == 0 and part

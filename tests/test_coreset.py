@@ -74,6 +74,12 @@ class TestPeeling:
         b = peeling_coreset(ps, ps.ids, 3, 3, 1.01)
         assert [x.ids for x in a.layers] == [x.ids for x in b.layers]
 
+    @pytest.mark.parametrize("threshold", [True, False, 0, 2.0, None])
+    def test_threshold_must_be_a_positive_int(self, threshold):
+        ps = _rand_ps(9, 6, 2)
+        with pytest.raises(PreconditionError, match="threshold must be a positive int"):
+            peeling_coreset(ps, ps.ids, threshold, 2)
+
 
 class TestPartitionCoreset:
     def test_lowk_per_group_bound(self):
