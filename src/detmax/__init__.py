@@ -54,6 +54,7 @@ from .objective import (
     mu_tilde_by_enumeration,
     nu,
     objective_value,
+    regime_of,
 )
 from .matroid import (
     CardinalityConstraint,
@@ -68,7 +69,6 @@ from .matroid import (
     is_base,
     is_independent,
     oracle_cap,
-    rank,
 )
 from .localsearch import (
     DEFAULT_ZETA,
@@ -180,8 +180,8 @@ __all__ = [
     "oracle_cap",
     "partition_coreset",
     "peeling_coreset",
-    "rank",
     "random_instance",
+    "regime_of",
     "run_distributed",
     "run_suites",
     "solve_on_coreset",

@@ -137,7 +137,7 @@ def _cmd_gen(args):
 
 def _cmd_coreset(args):
     points, constraint, _ = load_instance(_load_json(args.instance))
-    cs = build_coreset(points, points.id_array, constraint, args.zeta, args.regime)
+    cs = build_coreset(points, points.id_array, constraint, args.zeta)
     _dump_json(coreset_to_json(cs), args.out)
     for w in cs.warnings:
         print("warning: %s" % w, file=sys.stderr)
@@ -169,9 +169,7 @@ def _cmd_run(args):
         args.parts,
         args.seed,
         zeta=args.zeta,
-        regime=args.regime,
         split=args.split,
-        coreset_mode=args.coreset_mode,
         oracle=args.oracle,
     )
     _dump_json(report.to_json(), args.out)
@@ -202,7 +200,6 @@ _SHARED = {
     "--instance": {"required": True},
     "--seed": {"type": int, "default": 0},
     "--zeta": {"type": float, "default": DEFAULT_ZETA},
-    "--regime": {"default": "auto", "choices": ["auto", "lowk", "highk"]},
     "--out": {"default": "-"},
 }
 
@@ -241,7 +238,7 @@ def build_parser():
     p.add_argument("--g-cap", type=int, default=10000)
 
     command("coreset", _cmd_coreset, "build a coreset for one machine",
-            "--instance", "--zeta", "--regime", "--out")
+            "--instance", "--zeta", "--out")
 
     p = command("solve", _cmd_solve, "solve on an instance or a coreset file", "--instance", "--out")
     p.add_argument("--coreset", default=None)
@@ -251,10 +248,9 @@ def build_parser():
     p.add_argument("coresets", nargs="+")
 
     p = command("run", _cmd_run, "full distributed pipeline with oracle cross-check",
-                "--instance", "--seed", "--zeta", "--regime", "--out")
+                "--instance", "--seed", "--zeta", "--out")
     p.add_argument("--parts", type=int, default=2)
     p.add_argument("--split", default="random", choices=["random", "by-group"])
-    p.add_argument("--coreset-mode", default="peel", choices=["peel", "full"])
     p.add_argument("--oracle", default="auto", choices=["auto", "skip", "force"])
     p.add_argument("--csv", default=None)
 

@@ -12,12 +12,13 @@ reweighted objective never drops, which is what makes the union of
 per-machine coresets lose at most the factor (zeta*ell)**(2*ell) in the
 plain objective.
 
-Three constraint shapes are covered:
+The rank k and the dimension d fix the construction (see
+``objective.regime_of``): local optima have size ell = min(k, d), and two
+constraint shapes are covered:
 
-* cardinality: one peeling run, with threshold k (threshold 1, a single
-  local optimum, when k <= d),
 * partition: one peeling run per group, with that group's cap as threshold
-  (threshold 1 when k <= d),
+  (threshold 1, a single local optimum, when k <= d).  A cardinality
+  constraint is the partition of one group with cap k.
 * laminar: a recursion that peels each maximal family set, and for every
   selected element descends into the largest proper family set around it.
 
@@ -35,7 +36,7 @@ from .errors import InvariantError, PreconditionError
 from .geometry import distinct_ids, int_column, is_count
 from .localsearch import DEFAULT_ZETA, check_search, local_opt, search
 from .matroid import ground_labels, in_ground
-from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde
+from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde, regime_of
 
 
 @dataclass(frozen=True)
@@ -143,26 +144,26 @@ class CoresetResult:
         return [list(layer) for layer in self.layers]
 
 
-def partition_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
+def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     """Coreset for a partition constraint over the working set V.
 
-    Each group's share of V is peeled.  With ell equal to the constraint
-    rank k (only possible when k <= dim) the threshold is 1, a single local
-    optimum per group, and the size bound is s*k.  With ell < k the
-    threshold is the group's own cap and the size bound is k*ell.  A
-    cardinality constraint is peeled as its one group, with cap k.  V becomes
-    one ascending id array whose rows are looked up once, and each group's
-    block of rows is gathered once.
+    Each group's share of V is peeled, with ell and the regime from
+    :func:`regime_of`.  In the low-rank regime (k <= dim, ell = k) the
+    threshold is 1, a single local optimum per group, and the size bound is
+    s*k.  In the high-rank regime (ell = dim < k) the threshold is the
+    group's own cap and the size bound is k*ell.  A cardinality constraint
+    is the partition of one group with cap k.  V becomes one ascending id
+    array whose rows are looked up once, and each group's block of rows is
+    gathered once.
     """
     if constraint.kind not in ("partition", "cardinality"):
         raise PreconditionError("partition_coreset needs a partition constraint")
     k = constraint.rank
     ids = distinct_ids(V)
     labels = ground_labels(constraint, ids)
-    if ell > k:
-        raise PreconditionError("ell=%d exceeds constraint rank %d" % (ell, k))
+    regime, ell = regime_of(k, points.dim)
     check_search(points.dim, ell, zeta)
-    lowk = ell == k
+    lowk = regime == REGIME_LOWK
     rows = points.index(ids)
     parts = {}
     for g, cap in enumerate(constraint.caps):
@@ -178,7 +179,7 @@ def partition_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     return CoresetResult(
         ids=chosen,
         kind=constraint.kind,
-        regime=REGIME_LOWK if lowk else REGIME_HIGHK,
+        regime=regime,
         source=tuple(ids.tolist()),
         ell=ell,
         zeta=zeta,
@@ -238,15 +239,18 @@ def _build_laminar_node(points, vset, constraint, node_idx, ell, zeta, warnings,
     return node
 
 
-def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
+def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     """Coreset for a laminar constraint: peel each maximal set, recurse inward.
 
     Every element of V outside all family sets is always selectable and is
-    included verbatim.  Total size is checked against (k*ell)**r where k is
-    the constraint rank and r the cover number of the family.
+    included verbatim.  Layers have size ell from :func:`regime_of`.  Total
+    size is checked against (k*ell)**r where k is the constraint rank and r
+    the cover number of the family.
     """
     if constraint.kind != "laminar":
         raise PreconditionError("laminar_coreset needs a laminar constraint")
+    k = constraint.rank
+    regime, ell = regime_of(k, points.dim)
     vset = in_ground(constraint, distinct_ids(V).tolist())
     warnings = []
     roots = {}
@@ -259,7 +263,6 @@ def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     ids = set(free)
     for node in roots.values():
         ids.update(node.collect_ids())
-    k = constraint.rank
     depth = max((_cover_depth(constraint, i) for i in constraint.roots), default=1)
     bound = (k * ell) ** depth
     # the per-node checks carry the real bound; this one catches accounting bugs
@@ -271,7 +274,7 @@ def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     return CoresetResult(
         ids=frozenset(ids),
         kind="laminar",
-        regime=REGIME_LOWK if ell == k else REGIME_HIGHK,
+        regime=regime,
         source=tuple(sorted(vset)),
         ell=ell,
         zeta=zeta,
@@ -282,34 +285,16 @@ def laminar_coreset(points, V, constraint, ell, zeta=DEFAULT_ZETA):
     )
 
 
-def build_coreset(points, V, constraint, zeta=DEFAULT_ZETA, regime="auto"):
-    """Construct the coreset matching the constraint kind and rank regime.
+def build_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
+    """Construct the coreset matching the constraint kind.
 
-    ``regime`` is "auto" (lowk when rank <= dim, highk otherwise), or an
-    explicit "lowk" / "highk"; forcing a regime the rank does not support
-    raises PreconditionError.  In the lowk regime the layer size ell is the
-    rank itself; in the highk regime it is the dimension.
+    A laminar family recurses through :func:`laminar_coreset`; partition
+    and cardinality constraints are peeled per group by
+    :func:`partition_coreset`.  Rank and dimension fix ell and the regime.
     """
-    k = constraint.rank
-    d = points.dim
-    if regime == "auto":
-        regime = REGIME_LOWK if k <= d else REGIME_HIGHK
-    if regime == REGIME_LOWK:
-        if k > d:
-            raise PreconditionError("lowk regime needs rank <= dim (rank %d, dim %d)" % (k, d))
-        ell = k
-    elif regime == REGIME_HIGHK:
-        if k <= d:
-            raise PreconditionError("highk regime needs rank > dim (rank %d, dim %d)" % (k, d))
-        ell = d
-    else:
-        raise PreconditionError("regime must be 'auto', 'lowk', or 'highk', got %r" % (regime,))
-
     if constraint.kind == "laminar":
-        return laminar_coreset(points, V, constraint, ell, zeta)
-    if constraint.kind not in ("partition", "cardinality"):
-        raise PreconditionError("unsupported constraint kind %r" % (constraint.kind,))
-    return partition_coreset(points, V, constraint, ell, zeta)
+        return laminar_coreset(points, V, constraint, zeta)
+    return partition_coreset(points, V, constraint, zeta)
 
 
 def compose(coresets):

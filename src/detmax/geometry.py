@@ -11,9 +11,10 @@ or below ``1e-12 * a[j, j]`` is treated as zero and the determinant as
 exactly singular.  For a Gram matrix that ratio is the squared sine of the
 angle between vector j and the span of the earlier vectors, so rescaling
 any one vector never changes the verdict; local search applies the same
-rule to residuals against each vector's own squared norm.  Pivots below
-the negative tolerance mean the input was not PSD to begin with and raise
-``MatrixInvariantError``.
+rule to residuals against each vector's own squared norm.  A pivot below
+the negative tolerance raises ``MatrixInvariantError`` when the matrix also
+has an eigenvalue below it, that is when the input was not PSD to begin
+with; otherwise it is rounding on a singular matrix and counts as zero.
 """
 
 import numbers
@@ -281,12 +282,14 @@ def log_det_psd(m):
     return float(logdet_psd_batch(a[None, :, :])[0])
 
 
-def logdet_psd_batch(mats):
+def logdet_psd_batch(mats, *, first=0):
     """Log-determinants of a stack of symmetric PSD matrices, shape (B, d, d).
 
     This is the single source of truth for the pivot rule; the scalar
     :func:`log_det_psd` delegates here so batched oracles and scalar
-    evaluations can never disagree on what counts as singular.
+    evaluations can never disagree on what counts as singular.  A matrix
+    that is not PSD is named by its index plus ``first``, the position of
+    ``mats[0]`` in the caller's list.
     """
     a = np.asarray(mats, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -301,12 +304,14 @@ def logdet_psd_batch(mats):
     low = np.zeros_like(a)
     for j in range(d):
         pivot = a[:, j, j] - np.einsum("bi,bi->b", low[:, j, :j], low[:, j, :j])
-        bad = alive & (pivot < -psd_tol)
-        if np.any(bad):
-            b = int(np.flatnonzero(bad)[0])
-            raise MatrixInvariantError(
-                "matrix %d is not PSD: Cholesky pivot %.3e at step %d" % (b, pivot[b], j)
-            )
+        # a singular PSD matrix whose leading block is ill-conditioned can
+        # round a pivot below -psd_tol; only an eigenvalue that far below 0
+        # shows the input was not PSD, and the rounded pivot is then dead
+        for b in np.flatnonzero(alive & (pivot < -psd_tol)):
+            if np.linalg.eigvalsh(a[b])[0] < -psd_tol[b]:
+                raise MatrixInvariantError(
+                    "matrix %d is not PSD: Cholesky pivot %.3e at step %d" % (first + b, pivot[b], j)
+                )
         dead = alive & (pivot <= SINGULAR_PIVOT_REL * np.maximum(a[:, j, j], 0.0))
         out[dead] = -np.inf
         alive &= ~dead

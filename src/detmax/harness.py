@@ -22,7 +22,7 @@ from .geometry import UNLABELED
 from .instances import InstanceSpec, random_instance
 from .localsearch import DEFAULT_ZETA
 from .matroid import oracle_cap
-from .objective import REGIME_HIGHK, REGIME_LOWK
+from .objective import regime_of
 from .solver import brute_force_opt, json_float, solve_on_coreset
 
 
@@ -83,17 +83,15 @@ def run_distributed(
     m_parts,
     seed,
     zeta=DEFAULT_ZETA,
-    regime="auto",
     split="random",
-    coreset_mode="peel",
     oracle="auto",
 ):
     """Simulate the distributed pipeline and cross-check against brute force.
 
-    ``coreset_mode`` "full" ships every part verbatim (a debugging identity
-    coreset whose ratio must be exactly zero); "peel" runs the real
-    construction.  ``oracle`` is "auto" (brute force the full instance when
-    C(n, k) fits the cap), "skip", or "force".
+    Each part's coreset comes from :func:`build_coreset`, so the rank and
+    the dimension fix ell and the regime (``objective.regime_of``).
+    ``oracle`` is "auto" (brute force the full instance when C(n, k) fits
+    the cap), "skip", or "force".
 
     When both optima are available the report's log ratio must be
     sandwiched in [-1e-9, 2*ell*log(zeta*ell) + 1e-9], and feasibility on
@@ -102,12 +100,11 @@ def run_distributed(
     """
     if not isinstance(m_parts, int) or m_parts < 1:
         raise PreconditionError("m_parts must be a positive int, got %r" % (m_parts,))
+    if oracle not in ("auto", "skip", "force"):
+        raise PreconditionError("oracle must be 'auto', 'skip', or 'force', got %r" % (oracle,))
     k = constraint.rank
     d = points.dim
-    eff_regime = regime
-    if eff_regime == "auto":
-        eff_regime = REGIME_LOWK if k <= d else REGIME_HIGHK
-    ell = k if eff_regime == REGIME_LOWK else d
+    regime, ell = regime_of(k, d)
     timings = {}
     t0 = time.perf_counter()
     part_ids = _split_ids(points, m_parts, seed, split)
@@ -115,33 +112,24 @@ def run_distributed(
 
     warnings = []
     part_rows = []
+    built = []
     t0 = time.perf_counter()
-    if coreset_mode == "full":
-        composed_ids = sorted(points.ids)
-        for idx, ids in enumerate(part_ids):
-            part_rows.append(
-                {"part": idx, "size": len(ids), "coreset_size": len(ids), "declared_bound": None}
-            )
-    elif coreset_mode == "peel":
-        built = []
-        for idx, ids in enumerate(part_ids):
-            if not len(ids):
-                part_rows.append({"part": idx, "size": 0, "coreset_size": 0, "declared_bound": 0})
-                continue
-            cs = build_coreset(points, ids, constraint, zeta, regime)
-            built.append(cs)
-            warnings.extend("part %d: %s" % (idx, w) for w in cs.warnings)
-            part_rows.append(
-                {
-                    "part": idx,
-                    "size": len(ids),
-                    "coreset_size": len(cs.ids),
-                    "declared_bound": cs.declared_bound,
-                }
-            )
-        composed_ids = sorted(compose(built).ids) if built else []
-    else:
-        raise PreconditionError("coreset_mode must be 'peel' or 'full', got %r" % (coreset_mode,))
+    for idx, ids in enumerate(part_ids):
+        if not len(ids):
+            part_rows.append({"part": idx, "size": 0, "coreset_size": 0, "declared_bound": 0})
+            continue
+        cs = build_coreset(points, ids, constraint, zeta)
+        built.append(cs)
+        warnings.extend("part %d: %s" % (idx, w) for w in cs.warnings)
+        part_rows.append(
+            {
+                "part": idx,
+                "size": len(ids),
+                "coreset_size": len(cs.ids),
+                "declared_bound": cs.declared_bound,
+            }
+        )
+    composed_ids = sorted(compose(built).ids) if built else []
     timings["coreset"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -152,8 +140,6 @@ def run_distributed(
     full_feasible = None
     oracle_tag = "skipped"
     t0 = time.perf_counter()
-    if oracle not in ("auto", "skip", "force"):
-        raise PreconditionError("oracle must be 'auto', 'skip', or 'force', got %r" % (oracle,))
     if oracle == "force" or (
         oracle == "auto" and math.comb(len(points), k) <= oracle_cap()
     ):
@@ -186,10 +172,8 @@ def run_distributed(
             "m_parts": m_parts,
             "seed": seed,
             "zeta": zeta,
-            "regime": eff_regime,
-            "requested_regime": regime,
+            "regime": regime,
             "split": split,
-            "coreset_mode": coreset_mode,
             "ell": ell,
         },
         parts=part_rows,
@@ -231,7 +215,7 @@ def bench_scaling(d, k, n_list, seed, s=3, zeta=DEFAULT_ZETA, repeats=1):
         seconds = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            cs = build_coreset(points, points.id_array, constraint, zeta, "auto")
+            cs = build_coreset(points, points.id_array, constraint, zeta)
             seconds.append(time.perf_counter() - t0)
         rows.append({"n": n, "seconds": min(seconds), "coreset_size": len(cs.ids)})
     return rows

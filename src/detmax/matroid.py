@@ -1,9 +1,9 @@
 """Cardinality, partition, and laminar matroid constraints.
 
 A constraint object knows its ground set of ids and answers independence
-queries.  A partition keeps one id-set and cap per group; a laminar family
-is kept as a forest of nested sets.  Each kind computes its own rank and
-independence, and the JSON schema keeps the kinds distinct.
+queries.  A partition keeps one id-set and cap per group, and a cardinality
+constraint is the partition of one group with cap k; a laminar family is
+kept as a forest of nested sets.  The JSON schema keeps the kinds distinct.
 
 Rank here is the achievable one: the size of a maximum independent subset of
 the ground set.  On sane instances (every group at least as large as its
@@ -50,32 +50,6 @@ def ground_labels(constraint, ids):
     if not found.all():
         raise UnknownIdError("id %d is not in the constraint's ground set" % ids[~found].min())
     return constraint.ground_labels[pos]
-
-
-class CardinalityConstraint:
-    """Pick at most k elements: bases are the size-k subsets, as in a partition of one group with cap k."""
-
-    kind = "cardinality"
-
-    def __init__(self, k, ground):
-        self.ground_ids = np.sort(check_ids(ground, "ground"))
-        self.ground_labels = np.zeros(len(self.ground_ids), dtype=np.int64)
-        ground = frozenset(self.ground_ids.tolist())
-        if not is_count(k, 1):
-            raise InstanceFormatError("cardinality k must be a positive int, got %r" % (k,))
-        if k > len(ground):
-            raise InstanceFormatError("cardinality k=%d exceeds ground size %d" % (k, len(ground)))
-        self.k = k
-        self.caps = (k,)
-        self.ground = ground
-        self.warnings = ()
-
-    @property
-    def rank(self):
-        return self.k
-
-    def __repr__(self):
-        return "CardinalityConstraint(k=%d, n=%d)" % (self.k, len(self.ground))
 
 
 class LaminarConstraint:
@@ -255,9 +229,25 @@ class PartitionConstraint:
         return "PartitionConstraint(caps=%r, n=%d)" % (list(self.caps), len(self.ground))
 
 
-def rank(constraint):
-    """Size of a maximum independent subset of the constraint's ground set."""
-    return constraint.rank
+class CardinalityConstraint(PartitionConstraint):
+    """Pick at most k elements: the partition of one group with cap k, whose bases are the size-k subsets."""
+
+    kind = "cardinality"
+
+    def __init__(self, k, ground):
+        ground = check_ids(ground, "ground")
+        if not is_count(k, 1):
+            raise InstanceFormatError("cardinality k must be a positive int, got %r" % (k,))
+        vars(self).update(vars(PartitionConstraint.from_labels((k,), ground, np.zeros(len(ground), np.int64))))
+        if k > len(self.ground):
+            raise InstanceFormatError("cardinality k=%d exceeds ground size %d" % (k, len(self.ground)))
+
+    @property
+    def k(self):
+        return self.caps[0]
+
+    def __repr__(self):
+        return "CardinalityConstraint(k=%d, n=%d)" % (self.k, len(self.ground))
 
 
 def in_ground(constraint, ids):
@@ -274,8 +264,6 @@ def is_independent(constraint, S):
     sel = in_ground(constraint, S)
     if len(sel) > constraint.rank:
         return False
-    if constraint.kind == "cardinality":
-        return len(sel) <= constraint.k
     for members, cap in constraint.sets:
         if len(sel & members) > cap:
             return False
@@ -292,7 +280,8 @@ def enumerate_bases(constraint, points):
     """Yield every base within ``points`` as a sorted tuple, in lex order.
 
     Equivalent to filtering all C(n, k) subsets through :func:`is_base`;
-    partition bases are built directly as products of per-group choices.
+    partition (and so cardinality) bases are built directly as products of
+    per-group choices.
     Refuses to start when C(n, k) exceeds the oracle cap (10**6 by default,
     DETMAX_ORACLE_CAP overrides).
     """
@@ -306,10 +295,9 @@ def enumerate_bases(constraint, points):
             % (len(ids), k, total, cap, ORACLE_CAP_ENV)
         )
 
-    if constraint.kind == "partition":
-        return _partition_bases(constraint, ids)
-
-    return (combo for combo in combinations(ids, k) if is_base(constraint, combo))
+    if constraint.kind == "laminar":
+        return (combo for combo in combinations(ids, k) if is_base(constraint, combo))
+    return _partition_bases(constraint, ids)
 
 
 def _partition_bases(constraint, ids):
@@ -319,7 +307,10 @@ def _partition_bases(constraint, ids):
         combinations(sorted(part.intersection(ids)), min(cap, len(part)))
         for part, cap in constraint.sets
     ]
-    yield from sorted(tuple(sorted(chain.from_iterable(p))) for p in product(*choices))
+    if len(choices) == 1:  # one group: its combinations are the bases, already in lex order
+        yield from choices[0]
+    else:
+        yield from sorted(tuple(sorted(chain.from_iterable(p))) for p in product(*choices))
 
 
 def cover_number(constraint):

@@ -33,6 +33,16 @@ from .geometry import logdet_psd_batch
 REGIME_HIGHK = "highk"
 REGIME_LOWK = "lowk"
 
+
+def regime_of(rank, dim):
+    """The construction that rank k and dimension d fix: (regime, ell) with ell = min(k, d).
+
+    Low rank (k <= d) keeps one local optimum of size k per group; high
+    rank peels each group into layers of size d.
+    """
+    return (REGIME_LOWK, rank) if rank <= dim else (REGIME_HIGHK, dim)
+
+
 # subset enumeration in the cross-check oracles is capped at this many items
 ENUMERATION_CAP = 20
 

@@ -276,7 +276,7 @@ def size_bounds(seed):
             k = constraint.rank
             bound = (k * min(k, d)) ** cover_number(constraint)
             label = "laminar"
-        cs = build_coreset(points, points.ids, constraint, ZETA, "auto")
+        cs = build_coreset(points, points.ids, constraint, ZETA)
         if not (len(cs.ids) <= cs.declared_bound <= bound):
             bad.append((trial, label, len(cs.ids), cs.declared_bound, bound))
     return _verdict(bad, "200 constructions (incl. caps-exhausting), %d bound violations" % len(bad))
@@ -290,7 +290,7 @@ def laminar_exchange(seed):
         n = int(rng.integers(8, 13))
         points = _point_set(rng, n, 2)
         constraint = _random_laminar(rng, n, want_r2=trial % 2 == 0)
-        cs = build_coreset(points, points.ids, constraint, ZETA, "auto")
+        cs = build_coreset(points, points.ids, constraint, ZETA)
         if cs.kind != "laminar":
             bad.append((trial, cs.kind))
             continue
@@ -337,7 +337,7 @@ def lower_bounds(seed=None):
             )
 
         worst_small = max(loss(U) for U in combinations(sorted(v.ids), 3))
-        cs = build_coreset(v, v.ids, base_cons, ZETA, "auto")
+        cs = build_coreset(v, v.ids, base_cons, ZETA)
         worst_cs = loss(sorted(cs.ids))
         ok = (
             ok

@@ -67,7 +67,7 @@ def _batched_values(points, bases):
             mats = np.einsum("bki,bkj->bij", sel, sel)
         else:
             mats = np.einsum("bki,bli->bkl", sel, sel)
-        out[lo : lo + _BATCH] = logdet_psd_batch(mats)
+        out[lo : lo + _BATCH] = logdet_psd_batch(mats, first=lo)
     return out
 
 

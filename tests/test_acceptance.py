@@ -155,9 +155,9 @@ def test_c10_cli_determinism(tmp_path, report):
     points, constraint = random_instance(half_spec)
     pa, pb = tmp_path / "left.json", tmp_path / "right.json"
     pa.write_text(json.dumps(coreset_to_json(
-        build_coreset(points, list(range(6)), constraint, ZETA, "auto"))))
+        build_coreset(points, list(range(6)), constraint, ZETA))))
     pb.write_text(json.dumps(coreset_to_json(
-        build_coreset(points, list(range(6, 12)), constraint, ZETA, "auto"))))
+        build_coreset(points, list(range(6, 12)), constraint, ZETA))))
     twice(
         "compose",
         lambda out: ["compose", str(pa), str(pb), "--out", str(out)],

@@ -87,7 +87,7 @@ class TestPartitionCoreset:
         ps = _rand_ps(11, 24, 4, groups)
         constraint = PartitionConstraint((1, 1, 1), {i: groups[i] for i in range(24)})
         k = constraint.rank  # 3 <= d = 4
-        cs = partition_coreset(ps, ps.ids, constraint, k, 1.01)
+        cs = partition_coreset(ps, ps.ids, constraint, 1.01)
         assert cs.regime == REGIME_LOWK
         assert len(cs.ids) <= 3 * k
         assert cs.declared_bound == 3 * k
@@ -97,26 +97,19 @@ class TestPartitionCoreset:
         ps = _rand_ps(12, 30, 2, groups)
         constraint = PartitionConstraint((2, 2), {i: groups[i] for i in range(30)})
         k = constraint.rank  # 4 > d = 2
-        cs = partition_coreset(ps, ps.ids, constraint, 2, 1.01)
+        cs = partition_coreset(ps, ps.ids, constraint, 1.01)
         assert cs.regime == REGIME_HIGHK
         assert len(cs.ids) <= k * 2
         # per-group layer structure: at most cap_g layers of <= ell each
         for layer_ids in cs.layer_lists():
             assert len(layer_ids) <= 2
 
-    def test_bad_ell_rejected(self):
-        groups = [0] * 6
-        ps = _rand_ps(13, 6, 2, groups)
-        constraint = PartitionConstraint((3,), {i: 0 for i in range(6)})
-        with pytest.raises(PreconditionError):
-            partition_coreset(ps, ps.ids, constraint, 5, 1.01)
-
     def test_restricted_to_v(self):
         groups = [i % 2 for i in range(20)]
         ps = _rand_ps(14, 20, 2, groups)
         constraint = PartitionConstraint((1, 1), {i: groups[i] for i in range(20)})
         v = list(range(0, 20, 2))
-        cs = partition_coreset(ps, v, constraint, 2, 1.01)
+        cs = partition_coreset(ps, v, constraint, 1.01)
         assert set(cs.ids) <= set(v)
 
 
@@ -124,7 +117,7 @@ class TestBuildCoreset:
     def test_cardinality_lowk_single_local_opt(self):
         ps = _rand_ps(21, 15, 4)
         constraint = CardinalityConstraint(3, ps.ids)
-        cs = build_coreset(ps, ps.ids, constraint, 1.01, "auto")
+        cs = build_coreset(ps, ps.ids, constraint, 1.01)
         assert cs.regime == REGIME_LOWK
         assert len(cs.ids) <= 3
         assert cs.declared_bound == 3
@@ -132,34 +125,22 @@ class TestBuildCoreset:
     def test_cardinality_highk_peeling(self):
         ps = _rand_ps(22, 30, 2)
         constraint = CardinalityConstraint(5, ps.ids)
-        cs = build_coreset(ps, ps.ids, constraint, 1.01, "auto")
+        cs = build_coreset(ps, ps.ids, constraint, 1.01)
         assert cs.regime == REGIME_HIGHK
         assert len(cs.ids) <= 5 * 2
         assert cs.declared_bound == 5 * 2
 
-    def test_forced_regime_constraints(self):
-        ps = _rand_ps(23, 12, 3)
-        low = CardinalityConstraint(3, ps.ids)
-        high = CardinalityConstraint(5, ps.ids)
-        # forcing lowk needs k <= d, forcing highk needs k strictly above d
-        with pytest.raises(PreconditionError):
-            build_coreset(ps, ps.ids, high, 1.01, "lowk")
-        with pytest.raises(PreconditionError):
-            build_coreset(ps, ps.ids, low, 1.01, "highk")
-        with pytest.raises(PreconditionError):
-            build_coreset(ps, ps.ids, low, 1.01, "midk")
-
     def test_approx_log_factor(self):
         ps = _rand_ps(24, 20, 2)
         constraint = CardinalityConstraint(4, ps.ids)
-        cs = build_coreset(ps, ps.ids, constraint, 1.5, "auto")
+        cs = build_coreset(ps, ps.ids, constraint, 1.5)
         assert abs(cs.approx_log_factor - 2 * 2 * math.log(1.5 * 2)) < 1e-12
 
     def test_zeta_validation(self):
         ps = _rand_ps(25, 10, 2)
         constraint = CardinalityConstraint(3, ps.ids)
         with pytest.raises(PreconditionError):
-            build_coreset(ps, ps.ids, constraint, 0.9, "auto")
+            build_coreset(ps, ps.ids, constraint, 0.9)
 
 
 class TestCompose:
@@ -167,8 +148,8 @@ class TestCompose:
         groups = [i % 2 for i in range(20)]
         ps = _rand_ps(31, 20, 2, groups)
         constraint = PartitionConstraint((1, 1), {i: groups[i] for i in range(20)})
-        a = build_coreset(ps, list(range(10)), constraint, 1.01, "auto")
-        b = build_coreset(ps, list(range(10, 20)), constraint, 1.01, "auto")
+        a = build_coreset(ps, list(range(10)), constraint, 1.01)
+        b = build_coreset(ps, list(range(10, 20)), constraint, 1.01)
         return a, b
 
     def test_union_and_bound(self):
@@ -192,8 +173,8 @@ class TestCompose:
         groups = [i % 2 for i in range(20)]
         ps = _rand_ps(31, 20, 2, groups)
         constraint = PartitionConstraint((1, 1), {i: groups[i] for i in range(20)})
-        a = build_coreset(ps, list(range(10)), constraint, 1.01, "auto")
-        b = build_coreset(ps, list(range(10, 20)), constraint, 1.5, "auto")
+        a = build_coreset(ps, list(range(10)), constraint, 1.01)
+        b = build_coreset(ps, list(range(10, 20)), constraint, 1.5)
         with pytest.raises(PreconditionError):
             compose([a, b])
 
@@ -254,7 +235,7 @@ class TestLaminarCoreset:
     def test_structure_and_bound(self):
         ps = _chain_points()
         c = _chain_constraint()
-        cs = laminar_coreset(ps, ps.ids, c, 2, 1.01)
+        cs = laminar_coreset(ps, ps.ids, c, 1.01)
         k, ell, r = c.rank, 2, 2
         assert len(cs.ids) <= (k * ell) ** r
         assert cs.declared_bound == (k * ell) ** r
@@ -265,7 +246,7 @@ class TestLaminarCoreset:
     def test_removed_blocks_are_family_sets_or_id_lists(self):
         ps = _chain_points()
         c = _chain_constraint()
-        cs = laminar_coreset(ps, ps.ids, c, 2, 1.01)
+        cs = laminar_coreset(ps, ps.ids, c, 1.01)
         root = c.roots[0] if c.cap_of(c.roots[0]) == 2 else c.roots[1]
         node = cs.structure["roots"][root]
         assert node.cap == c.cap_of(root)
@@ -281,7 +262,7 @@ class TestLaminarCoreset:
     def test_exchange_preserves_bases(self):
         ps = _chain_points()
         c = _chain_constraint()
-        cs = laminar_coreset(ps, ps.ids, c, 2, 1.01)
+        cs = laminar_coreset(ps, ps.ids, c, 1.01)
         profile = WeightProfile(cs.ids, 1.01, 2, REGIME_HIGHK)
         checked = 0
         for base in enumerate_bases(c, ps):
@@ -296,14 +277,14 @@ class TestLaminarCoreset:
     def test_two_disjoint_roots(self):
         ps = _rand_ps(61, 12, 2)
         c = LaminarConstraint([([0, 1, 2, 3], 2), ([4, 5, 6, 7], 1)], range(12))
-        cs = laminar_coreset(ps, ps.ids, c, 2, 1.01)
+        cs = laminar_coreset(ps, ps.ids, c, 1.01)
         assert {8, 9, 10, 11} <= set(cs.ids)
         assert len(cs.ids) <= (c.rank * 2) ** 1 + 4 or len(cs.ids) <= cs.declared_bound
 
     def test_ineligible_e_rejected(self):
         ps = _chain_points()
         c = _chain_constraint()
-        cs = laminar_coreset(ps, ps.ids, c, 2, 1.01)
+        cs = laminar_coreset(ps, ps.ids, c, 1.01)
         base = next(iter(enumerate_bases(c, ps)))
         e_in = next((x for x in base if x in cs.ids), None)
         if e_in is not None:
@@ -315,7 +296,7 @@ class TestCoresetJson:
     def test_round_trip(self):
         ps = _rand_ps(70, 16, 2)
         constraint = CardinalityConstraint(4, ps.ids)
-        cs = build_coreset(ps, ps.ids, constraint, 1.01, "auto")
+        cs = build_coreset(ps, ps.ids, constraint, 1.01)
         doc = coreset_to_json(cs)
         assert doc["regime"] == cs.regime
         assert doc["zeta"] == cs.zeta
@@ -326,7 +307,7 @@ class TestCoresetJson:
     def _halves(self):
         ps = _rand_ps(72, 30, 3)
         constraint = CardinalityConstraint(5, ps.ids)
-        return [build_coreset(ps, part, constraint, 1.01, "auto")
+        return [build_coreset(ps, part, constraint, 1.01)
                 for part in (range(15), range(15, 30))]
 
     def test_read_back_composes_like_the_original(self):

@@ -110,6 +110,18 @@ class TestGramAndLogDet:
         with pytest.raises(MatrixInvariantError):
             log_det_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_singular_scatter_rounding_below_tolerance_is_neg_inf(self):
+        # the scatter of a, a, b is singular, yet its last Cholesky pivot
+        # rounds to -2.1e-10, below the PSD tolerance; its spectrum is not
+        # negative beyond roundoff, so it scores -inf like the Gram matrix
+        a = [-0.174814684487072, -0.3325885477177439, -0.09013882000816122]
+        b = [-0.16551115509922448, -0.3155415103316193, -1.5949635162026197]
+        x = np.array([a, a, b])
+        assert logdet_psd_batch(np.array([x.T @ x, x @ x.T])).tolist() == [-math.inf, -math.inf]
+        with pytest.raises(MatrixInvariantError, match="matrix 1 is not PSD"):
+            logdet_psd_batch(np.array([np.eye(2), np.diag([1.0, -1.0])]))
+        assert round(log_det_psd(np.diag([1e14, 1.0])), 3) == 32.236
+
     def test_scaling_identity(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
@@ -193,7 +205,7 @@ class TestCoordinateBound:
         seen = []
         for scale in (1.0, MAX_COORD / np.abs(X).max()):
             points, cons, _ = load_instance(self._doc(scale * X, constraint))
-            cs = build_coreset(points, points.ids, cons, 1.01, "auto")
+            cs = build_coreset(points, points.ids, cons, 1.01)
             report = run_distributed(points, cons, 2, 0, oracle="force")
             assert math.isfinite(report.coreset_value) and math.isfinite(report.full_value)
             seen.append((sorted(cs.ids), solve_on_coreset(points, cons, cs.ids).ids,

@@ -42,7 +42,7 @@ FIXTURES = {
 
 def observe(spec):
     points, constraint = random_instance(spec)
-    cs = build_coreset(points, points.ids, constraint, 1.01, "auto")
+    cs = build_coreset(points, points.ids, constraint, 1.01)
     report = run_distributed(points, constraint, 2, 3).to_json()
     del report["timings"]
     return {"ids": sorted(cs.ids), "layers": cs.layer_lists(), "run": report}

@@ -46,16 +46,10 @@ class TestRunDistributed:
         assert report.ratio_log is not None
         assert -1e-9 <= report.ratio_log <= report.bound_log + 1e-9
 
-    def test_identity_coreset_mode_is_lossless(self):
-        points, constraint = _partition_instance(seed=6)
-        report = run_distributed(points, constraint, 3, seed=1, coreset_mode="full")
-        assert report.ratio_log == 0.0
-        assert report.composed_size == len(points)
-
     def test_single_part_equals_plain_coreset(self):
         points, constraint = _partition_instance(seed=7)
         report = run_distributed(points, constraint, 1, seed=0)
-        cs = build_coreset(points, points.ids, constraint, 1.01, "auto")
+        cs = build_coreset(points, points.ids, constraint, 1.01)
         assert report.composed_size == len(cs.ids)
 
     def test_adversarial_split(self):
@@ -98,15 +92,18 @@ class TestRunDistributed:
         assert report.ratio_log is None
         assert report.full_value is None
 
-    def test_bad_arguments(self):
+    def test_bad_arguments(self, monkeypatch):
         points, constraint = _partition_instance(seed=12)
         with pytest.raises(PreconditionError):
             run_distributed(points, constraint, 0, seed=0)
         with pytest.raises(PreconditionError):
             run_distributed(points, constraint, 2, seed=0, split="sorted")
-        with pytest.raises(PreconditionError):
-            run_distributed(points, constraint, 2, seed=0, coreset_mode="gzip")
-        with pytest.raises(PreconditionError):
+
+        def no_coreset(*args, **kwargs):
+            raise AssertionError("build_coreset ran before oracle was checked")
+
+        monkeypatch.setattr(detmax.harness, "build_coreset", no_coreset)
+        with pytest.raises(PreconditionError, match="oracle must be"):
             run_distributed(points, constraint, 2, seed=0, oracle="maybe")
 
 
@@ -171,8 +168,8 @@ class TestCli:
 
     def test_compose_distinct_machines(self, tmp_path):
         points, constraint = _partition_instance(seed=20, n=16, d=2, caps=(1, 1))
-        a = build_coreset(points, list(range(8)), constraint, 1.01, "auto")
-        b = build_coreset(points, list(range(8, 16)), constraint, 1.01, "auto")
+        a = build_coreset(points, list(range(8)), constraint, 1.01)
+        b = build_coreset(points, list(range(8, 16)), constraint, 1.01)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         pa.write_text(json.dumps(coreset_to_json(a)))
         pb.write_text(json.dumps(coreset_to_json(b)))
@@ -186,9 +183,9 @@ class TestCli:
 
     def test_compose_refuses_other_or_missing_kind(self, tmp_path):
         points, constraint = _partition_instance(seed=20, n=16, d=2, caps=(1, 1))
-        a = coreset_to_json(build_coreset(points, list(range(8)), constraint, 1.01, "auto"))
+        a = coreset_to_json(build_coreset(points, list(range(8)), constraint, 1.01))
         card = CardinalityConstraint(2, points.ids)
-        b = coreset_to_json(build_coreset(points, list(range(8, 16)), card, 1.01, "auto"))
+        b = coreset_to_json(build_coreset(points, list(range(8, 16)), card, 1.01))
         assert (a["ell"], a["regime"]) == (b["ell"], b["regime"])
         pa, pb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "union.json"
         pa.write_text(json.dumps(a))

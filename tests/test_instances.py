@@ -98,7 +98,7 @@ class TestLowDimLowerBound:
     def test_own_coreset_survives_all_adversaries(self):
         M = 100.0
         v, _, base_cons = lb_low_dim_instance(2, (1, 1), 2, M)
-        cs = build_coreset(v, v.ids, base_cons, 1.01, "auto")
+        cs = build_coreset(v, v.ids, base_cons, 1.01)
         ell = cs.ell
         for probe in range(2):
             for perm in permutations(range(2)):

@@ -19,7 +19,6 @@ from detmax import (
     is_base,
     is_independent,
     oracle_cap,
-    rank,
 )
 
 
@@ -52,7 +51,7 @@ class TestCardinality:
 
     def test_rank(self):
         c = CardinalityConstraint(3, range(5))
-        assert rank(c) == 3 == c.rank
+        assert c.rank == 3
         assert cover_number(c) == 1
 
     def test_k_validation(self):
@@ -71,6 +70,25 @@ class TestCardinality:
         with pytest.raises(UnknownIdError):
             is_independent(c, [0, 99])
 
+    def test_is_a_one_group_partition(self):
+        c = CardinalityConstraint(3, [4, 2, 9, 7])
+        assert isinstance(c, PartitionConstraint)
+        assert c.kind == "cardinality"
+        assert c.sets == ((frozenset({2, 4, 7, 9}), 3),)
+        assert (c.k, c.caps, c.rank) == (3, (3,), 3)
+        assert repr(c) == "CardinalityConstraint(k=3, n=4)"
+        doc = constraint_to_json(c)
+        assert doc == {"type": "cardinality", "k": 3}
+        back = constraint_from_json(doc, PointSet(2, [(i, np.array([float(i), 1.0]), None) for i in (2, 4, 7, 9)]))
+        assert (type(back), back.sets, repr(back)) == (CardinalityConstraint, c.sets, repr(c))
+        # a bad ground id is named before a bad k, and k is checked against the distinct ids
+        with pytest.raises(InstanceFormatError, match="ground id must be a non-negative int, got -1"):
+            CardinalityConstraint(0, [0, -1])
+        with pytest.raises(InstanceFormatError, match="cardinality k must be a positive int, got 0"):
+            CardinalityConstraint(0, [0, 1])
+        with pytest.raises(InstanceFormatError, match="cardinality k=3 exceeds ground size 2"):
+            CardinalityConstraint(3, [0, 1, 1])
+
 
 class TestPartition:
     def test_independence_per_group(self):
@@ -79,14 +97,14 @@ class TestPartition:
         assert is_independent(c, [0, 1, 3])
         assert not is_independent(c, [0, 1, 2])
         assert not is_independent(c, [3, 4])
-        assert rank(c) == 3
+        assert c.rank == 3
         assert cover_number(c) == 1
 
     def test_rank_caps_at_group_size(self):
         groups = {0: 0, 1: 1, 2: 1}
         c = PartitionConstraint((5, 1), groups)
         # group 0 only has one member, so the achievable rank is 2 not 6
-        assert rank(c) == 2
+        assert c.rank == 2
         assert _brute_rank(c, groups) == 2
 
     def test_label_out_of_cap_range(self):
@@ -96,7 +114,7 @@ class TestPartition:
     def test_extra_caps_tolerated(self):
         # a cap with no members contributes nothing to the rank
         c = PartitionConstraint((1, 1, 1), {0: 0, 1: 1})
-        assert rank(c) == 2
+        assert c.rank == 2
 
     def test_enumerate_bases_matches_filter(self):
         groups = {i: i % 2 for i in range(6)}
@@ -123,7 +141,17 @@ class TestPartition:
             c = PartitionConstraint((int(rng.integers(0, 3)), 1, 0, 2), groups)
             keep = sorted(i for i in range(n) if trial < 10 or rng.random() < 0.8)
             ps = PointSet(2, [(i, np.array([float(i), 1.0]), labels[i]) for i in keep])
-            expected = [s for s in combinations(keep, rank(c)) if is_base(c, s)]
+            expected = [s for s in combinations(keep, c.rank) if is_base(c, s)]
+            assert list(enumerate_bases(c, ps)) == expected
+        # cardinality: every size-k subset, including none when the point
+        # set holds fewer than k ids
+        for trial in range(20):
+            n = int(rng.integers(1, 9))
+            c = CardinalityConstraint(int(rng.integers(1, n + 1)), range(n))
+            keep = sorted(i for i in range(n) if trial < 5 or rng.random() < 0.7)
+            ps = PointSet(2, [(i, np.array([float(i), 1.0]), None) for i in keep])
+            expected = list(combinations(keep, c.k))
+            assert expected == [s for s in combinations(keep, c.k) if is_base(c, s)]
             assert list(enumerate_bases(c, ps)) == expected
 
     def test_part_accessors(self):
@@ -151,12 +179,12 @@ class TestLaminar:
         ]
         for fam, ground in cases:
             c = LaminarConstraint(fam, ground)
-            assert rank(c) == _brute_rank(c, ground)
+            assert c.rank == _brute_rank(c, ground)
 
     def test_free_elements_always_independent(self):
         c = LaminarConstraint([([0, 1], 1)], range(5))
         assert is_independent(c, [2, 3, 4, 0])
-        assert rank(c) == 4
+        assert c.rank == 4
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(InstanceFormatError):
@@ -228,7 +256,7 @@ class TestJsonRoundTrip:
         doc = constraint_to_json(c)
         c2 = constraint_from_json(doc, pts)
         assert c2.kind == "partition"
-        assert rank(c2) == rank(c)
+        assert c2.rank == c.rank
         for combo in combinations(range(4), 2):
             assert is_independent(c, combo) == is_independent(c2, combo)
 

@@ -4,9 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import detmax.solver as solver
 from detmax import (
     CardinalityConstraint,
     GuardExceededError,
+    MatrixInvariantError,
     ORACLE_CAP_ENV,
     PartitionConstraint,
     PointSet,
@@ -94,6 +96,34 @@ class TestBruteForce:
         doc = brute_force_opt(ps, c).to_json()
         assert doc["log_value"] == "-inf"
 
+    def test_base_with_two_equal_points_scores_neg_inf(self):
+        # k = d = 3: the scatter of a, a, b is singular but used to round its
+        # last pivot below the PSD tolerance and raise MatrixInvariantError
+        a = [-0.174814684487072, -0.3325885477177439, -0.09013882000816122]
+        b = [-0.16551115509922448, -0.3155415103316193, -1.5949635162026197]
+        coords = np.vstack([np.random.default_rng(0).standard_normal((5, 3)), [a, a, b]])
+        ps = PointSet(3, [(i, coords[i], None) for i in range(8)])
+        c = CardinalityConstraint(3, ps.ids)
+        assert objective_value(ps, [5, 6, 7]) == -math.inf
+        got = brute_force_opt(ps, c)
+        ids, val = _reference_opt(ps, c)
+        assert got.ids == ids and abs(got.log_value - val) < 1e-9
+
+    def test_not_psd_error_names_the_base_in_the_whole_list(self, monkeypatch):
+        real = solver.logdet_psd_batch
+
+        def indefinite_base_5(mats, first):
+            mats = mats.copy()
+            if first <= 5 < first + len(mats):
+                mats[5 - first] = np.diag([1.0, -1.0])
+            return real(mats, first=first)
+
+        monkeypatch.setattr(solver, "_BATCH", 4)
+        monkeypatch.setattr(solver, "logdet_psd_batch", indefinite_base_5)
+        ps = _rand_ps(2, 5, 2)
+        with pytest.raises(MatrixInvariantError, match="matrix 5 is not PSD"):
+            brute_force_opt(ps, CardinalityConstraint(2, ps.ids))
+
     def test_guard(self, monkeypatch):
         monkeypatch.setenv(ORACLE_CAP_ENV, "10")
         ps = _rand_ps(1, 10, 2)
@@ -147,6 +177,9 @@ class TestSolveOnCoreset:
         c = CardinalityConstraint(3, ps.ids)
         res = solve_on_coreset(ps, c, sorted(ps.ids))
         assert res.method == "brute_force"
+        # solving on every id loses nothing against the full optimum
+        full = brute_force_opt(ps, c)
+        assert (res.ids, res.log_value) == (full.ids, full.log_value)
 
     def test_auto_falls_back_to_greedy(self, monkeypatch):
         monkeypatch.setenv(ORACLE_CAP_ENV, "5")
@@ -167,7 +200,7 @@ class TestSolveOnCoreset:
         for seed in range(6):
             ps = _rand_ps(110 + seed, 14, 2)
             c = CardinalityConstraint(4, ps.ids)
-            cs = build_coreset(ps, ps.ids, c, 1.01, "auto")
+            cs = build_coreset(ps, ps.ids, c, 1.01)
             on_cs = solve_on_coreset(ps, c, sorted(cs.ids))
             full = brute_force_opt(ps, c)
             assert full.log_value <= on_cs.log_value + cs.approx_log_factor + 1e-9
