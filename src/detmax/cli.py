@@ -12,7 +12,7 @@ import json
 import sys
 
 from .coreset import build_coreset, compose, coreset_from_json, coreset_ids_from_json, coreset_to_json
-from .errors import GuardExceededError, InstanceFormatError, PreconditionError, UnknownIdError
+from .errors import GuardExceededError, InstanceFormatError, PreconditionError, RejectionSamplingError, UnknownIdError
 from .geometry import merge_pointsets
 from .harness import bench_scaling, run_distributed
 from .instances import (
@@ -274,6 +274,7 @@ def main(argv=None):
     except (
         PreconditionError,
         GuardExceededError,
+        RejectionSamplingError,
         InstanceFormatError,
         UnknownIdError,
         OSError,

@@ -4,6 +4,8 @@ A constraint object knows its ground set of ids and answers independence
 queries.  A partition keeps one id-set and cap per group, and a cardinality
 constraint is the partition of one group with cap k; a laminar family is
 kept as a forest of nested sets.  The JSON schema keeps the kinds distinct.
+Every kind lists its caps as ``sets``, (id-set, cap) pairs, and one
+membership matrix over them filters the bases and greedy's candidates.
 
 Rank here is the achievable one: the size of a maximum independent subset of
 the ground set.  On sane instances (every group at least as large as its
@@ -14,7 +16,7 @@ of exactly rank elements.
 import math
 import os
 from collections import Counter
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .geometry import UNLABELED, check_ids, first_true, int_column, is_count, so
 
 DEFAULT_ORACLE_CAP = 10**6
 ORACLE_CAP_ENV = "DETMAX_ORACLE_CAP"
+_BATCH = 1 << 14  # most bases per chunk of enumerate_bases
 
 
 def oracle_cap():
@@ -262,12 +265,7 @@ def in_ground(constraint, ids):
 def is_independent(constraint, S):
     """True iff the id-set S satisfies every cap of the constraint."""
     sel = in_ground(constraint, S)
-    if len(sel) > constraint.rank:
-        return False
-    for members, cap in constraint.sets:
-        if len(sel & members) > cap:
-            return False
-    return True
+    return len(sel) <= constraint.rank and all(len(sel & members) <= cap for members, cap in constraint.sets)
 
 
 def is_base(constraint, S):
@@ -276,41 +274,50 @@ def is_base(constraint, S):
     return len(sel) == constraint.rank and is_independent(constraint, sel)
 
 
-def enumerate_bases(constraint, points):
-    """Yield every base within ``points`` as a sorted tuple, in lex order.
+def membership(constraint, ids):
+    """``(member, caps)``: member[i, j] says whether ids[i] lies in set j of ``constraint.sets``, capped at caps[j].
 
-    Equivalent to filtering all C(n, k) subsets through :func:`is_base`;
-    partition (and so cardinality) bases are built directly as products of
-    per-group choices.
-    Refuses to start when C(n, k) exceeds the oracle cap (10**6 by default,
-    DETMAX_ORACLE_CAP overrides).
+    UnknownIdError names the smallest id of the int array ``ids`` outside the ground set.
     """
-    ids = sorted(points.ids)
+    ids, sets = ids.tolist(), constraint.sets
+    in_ground(constraint, ids)
+    member = np.array([[i in members for members, _ in sets] for i in ids], dtype=bool)
+    return member.reshape(len(ids), len(sets)), np.array([cap for _, cap in sets], dtype=np.int64)
+
+
+def enumerate_bases(constraint, points):
+    """Yield the bases within ``points`` in lex order, as (b, k) int64 id arrays of 1.._BATCH rows.
+
+    Each chunk is cut from the rank-k combinations of the sorted ids and
+    keeps the rows within every cap; rank 0 gives one empty base.  The call
+    itself, not the first ``next()``, checks C(n, k) against the oracle cap
+    (10**6 by default, DETMAX_ORACLE_CAP overrides) and names the smallest
+    id outside the ground set in an UnknownIdError.
+    """
+    ids = np.sort(points.id_array)
     k = constraint.rank
-    total = math.comb(len(ids), k) if k <= len(ids) else 0
-    cap = oracle_cap()
+    total, cap = math.comb(len(ids), k), oracle_cap()  # C(n, k) is 0 when k > n
     if total > cap:
         raise GuardExceededError(
             "enumerating C(%d, %d) = %d bases exceeds the cap of %d (set %s to raise it)"
             % (len(ids), k, total, cap, ORACLE_CAP_ENV)
         )
-
-    if constraint.kind == "laminar":
-        return (combo for combo in combinations(ids, k) if is_base(constraint, combo))
-    return _partition_bases(constraint, ids)
+    return _base_chunks(ids, k, *membership(constraint, ids))
 
 
-def _partition_bases(constraint, ids):
-    """Bases within sorted ``ids``: min(cap, group size) members of every group."""
-    in_ground(constraint, ids)
-    choices = [
-        combinations(sorted(part.intersection(ids)), min(cap, len(part)))
-        for part, cap in constraint.sets
-    ]
-    if len(choices) == 1:  # one group: its combinations are the bases, already in lex order
-        yield from choices[0]
-    else:
-        yield from sorted(tuple(sorted(chain.from_iterable(p))) for p in product(*choices))
+def _base_chunks(ids, k, member, caps):
+    """The size-k rows over ``ids`` that keep within ``caps``, chunk by chunk."""
+    if k == 0:
+        yield np.empty((1, 0), dtype=np.int64)
+        return
+    combos = combinations(range(len(ids)), k)
+    while True:
+        rows = np.fromiter(chain.from_iterable(islice(combos, _BATCH)), np.int64).reshape(-1, k)
+        if not len(rows):
+            return
+        rows = rows[(member[rows].sum(1) <= caps).all(1)]
+        if len(rows):
+            yield ids[rows]
 
 
 def cover_number(constraint):

@@ -297,7 +297,8 @@ def laminar_exchange(seed):
         in_roots = set().union(*(root.set_ids for root in cs.structure["roots"].values()))
         pairs = (
             (S, e)
-            for S in enumerate_bases(constraint, points)
+            for chunk in enumerate_bases(constraint, points)
+            for S in map(tuple, chunk.tolist())
             for e in sorted((set(S) - cs.ids) & in_roots)
         )
         c, b = _exchange_failures(

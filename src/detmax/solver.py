@@ -3,10 +3,11 @@
 The objective is the solver dispatch from the objective module: determinant
 of the k x k inner-product matrix while selections are smaller than the
 dimension, determinant of the d x d outer-product sum otherwise.  The brute
-force route enumerates every base (guarded by DETMAX_ORACLE_CAP) and
-evaluates them in vectorized batches through the same pivot rule as the
-scalar path, so batch and scalar evaluations cannot disagree about
-singularity.  Ties go to the lexicographically smallest base.
+force route takes every base (guarded by DETMAX_ORACLE_CAP) chunk by chunk
+from the enumerator and scores each chunk in one vectorized batch through
+the same pivot rule as the scalar path, so batch and scalar evaluations
+cannot disagree about singularity.  Ties go to the lexicographically
+smallest base.
 """
 
 import math
@@ -14,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .geometry import logdet_psd_batch
-from .matroid import enumerate_bases, is_independent, oracle_cap
+from .matroid import enumerate_bases, is_independent, membership, oracle_cap
 from .objective import objective_value
-
-_BATCH = 1 << 14
 
 
 def json_float(v):
@@ -53,66 +52,59 @@ class SolveResult:
         }
 
 
-def _batched_values(points, bases):
-    """Objective for a list of equal-size id tuples, in one vector sweep."""
-    coords = points.coords
-    k = len(bases[0])
-    d = points.dim
-    pos = points.index(bases)
-    out = np.empty(len(bases))
-    for lo in range(0, len(bases), _BATCH):
-        chunk = pos[lo : lo + _BATCH]
-        sel = coords[chunk]  # (B, k, d)
-        if k >= d:
-            mats = np.einsum("bki,bkj->bij", sel, sel)
-        else:
-            mats = np.einsum("bki,bli->bkl", sel, sel)
-        out[lo : lo + _BATCH] = logdet_psd_batch(mats, first=lo)
-    return out
+def _values(coords, rows, first=0):
+    """Objective of each row of the (b, k) array ``rows`` of positions into ``coords``."""
+    sel = coords[rows]  # (b, k, d)
+    spec = "bki,bkj->bij" if rows.shape[1] >= coords.shape[1] else "bki,bli->bkl"  # scatter, else Gram
+    return logdet_psd_batch(np.einsum(spec, sel, sel), first=first)
 
 
 def brute_force_opt(points, constraint):
     """Enumerate every base and return the best (lex-smallest on ties).
 
-    Raises GuardExceededError through the base enumerator when C(n, k)
-    exceeds the oracle cap.  No bases at all gives an infeasible result;
-    all-singular bases give a feasible result with log_value -inf.
+    Chunks of bases arrive in lex order, and a later one takes over only
+    with a strictly larger value.  Raises GuardExceededError through the base
+    enumerator when C(n, k) exceeds the oracle cap.  No bases at all gives an
+    infeasible result; all-singular bases give a feasible result with -inf.
     """
-    bases = list(enumerate_bases(constraint, points))
-    if not bases:
+    best, best_val, seen = None, -math.inf, 0
+    for chunk in enumerate_bases(constraint, points):
+        vals = _values(points.coords, points.index(chunk), first=seen)
+        top = int(np.argmax(vals))
+        if best is None or vals[top] > best_val:
+            best, best_val = chunk[top], vals[top]
+        seen += len(chunk)
+    if best is None:
         return SolveResult((), -math.inf, False, "brute_force")
-    vals = _batched_values(points, bases)
-    best = int(np.argmax(vals))
-    chosen = bases[best]
-    return SolveResult(tuple(chosen), objective_value(points, chosen), True, "brute_force")
+    chosen = tuple(best.tolist())
+    return SolveResult(chosen, objective_value(points, chosen), True, "brute_force")
 
 
 def greedy_constrained(points, constraint):
     """Grow a base one element at a time, maximizing the objective each step.
 
-    Candidates that would break independence are skipped; ties go to the
+    Candidates that would break a cap are masked out; ties go to the
     smallest id.  Once the rank is unreachable from the current selection
     the result is marked infeasible and carries the partial pick.  Note the
     greedy chain keeps extending through singular selections (all gains
     -inf) because later picks can still restore full rank.
     """
-    k = constraint.rank
-    chosen = []
-    chosen_set = set()
-    ids = sorted(points.ids)
-    for _ in range(k):
-        candidates = [
-            c
-            for c in ids
-            if c not in chosen_set and is_independent(constraint, chosen + [c])
-        ]
-        if not candidates:
-            return SolveResult(tuple(sorted(chosen)), -math.inf, False, "greedy")
-        vals = _batched_values(points, [tuple(chosen) + (c,) for c in candidates])
-        pick = candidates[int(np.argmax(vals))]
-        chosen.append(pick)
-        chosen_set.add(pick)
-    final = tuple(sorted(chosen))
+    ids = np.sort(points.id_array)
+    member, caps = membership(constraint, ids)
+    coords = points.coords[points.index(ids)]
+    picks = []  # positions into ids, in pick order
+    for _ in range(constraint.rank):
+        blocked = member[:, member[picks].sum(0) >= caps].any(1)  # in a set already at its cap
+        blocked[picks] = True
+        cands = np.flatnonzero(~blocked)
+        if not len(cands):
+            return SolveResult(tuple(sorted(ids[picks].tolist())), -math.inf, False, "greedy")
+        rows = np.empty((len(cands), len(picks) + 1), dtype=np.intp)
+        rows[:, :-1], rows[:, -1] = picks, cands
+        picks.append(int(cands[np.argmax(_values(coords, rows))]))
+    final = tuple(sorted(ids[picks].tolist()))
+    if not is_independent(constraint, final):
+        raise InvariantError("greedy picked %r, which breaks a cap" % (final,))
     return SolveResult(final, objective_value(points, final), True, "greedy")
 
 
@@ -127,9 +119,8 @@ def solve_on_coreset(points, constraint, coreset_ids, method="auto"):
     if method not in ("auto", "brute", "greedy"):
         raise PreconditionError("method must be auto, brute, or greedy, got %r" % (method,))
     sub = points.restrict(ids)
-    if method == "auto":
-        fits = math.comb(len(ids), constraint.rank) <= oracle_cap() if constraint.rank <= len(ids) else True
-        method = "brute" if fits else "greedy"
+    if method == "auto":  # C(n, k) is 0 when k > n
+        method = "brute" if math.comb(len(ids), constraint.rank) <= oracle_cap() else "greedy"
     if method == "brute":
         return brute_force_opt(sub, constraint)
     return greedy_constrained(sub, constraint)

@@ -265,7 +265,7 @@ class TestLaminarCoreset:
         cs = laminar_coreset(ps, ps.ids, c, 1.01)
         profile = WeightProfile(cs.ids, 1.01, 2, REGIME_HIGHK)
         checked = 0
-        for base in enumerate_bases(c, ps):
+        for base in (b for chunk in enumerate_bases(c, ps) for b in chunk.tolist()):
             for e in [x for x in base if x not in cs.ids]:
                 f = find_laminar_exchange(ps, base, e, cs, profile)
                 swapped = sorted(set(base) - {e} | {f})
@@ -285,7 +285,7 @@ class TestLaminarCoreset:
         ps = _chain_points()
         c = _chain_constraint()
         cs = laminar_coreset(ps, ps.ids, c, 1.01)
-        base = next(iter(enumerate_bases(c, ps)))
+        base = next(iter(enumerate_bases(c, ps)))[0].tolist()
         e_in = next((x for x in base if x in cs.ids), None)
         if e_in is not None:
             with pytest.raises(PreconditionError):

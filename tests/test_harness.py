@@ -304,6 +304,13 @@ class TestCli:
         assert len(doc["points"]) == 16
         assert doc["meta"]["planted_log_value"] > 0
 
+    def test_gen_hard_that_cannot_be_sampled_exit_2(self, tmp_path, capsys):
+        # 16 unit vectors in R^4 at tolerance 0.3 are past the simplex fallback
+        assert main(["gen", "--generator", "hard", "--d", "4", "--k", "8", "--seed", "1",
+                     "--g-cap", "60", "--out", str(tmp_path / "hard.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: found 4 of 16 unit vectors")
+        assert not (tmp_path / "hard.json").exists()
+
     def test_cli_error_paths(self, tmp_path, capsys):
         inst = self._gen(tmp_path)
         # coreset on a bare point file (no constraint) must fail cleanly

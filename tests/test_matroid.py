@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import detmax.matroid as matroid
 from detmax import (
     InstanceFormatError,
     CardinalityConstraint,
@@ -28,6 +29,16 @@ def _points(n, groups=None):
         g = None if groups is None else groups[i]
         items.append((i, np.array([float(i), 1.0]), g))
     return PointSet(2, items)
+
+
+def _bases(constraint, points):
+    """The bases enumerate_bases yields, as id tuples in yield order, after checking the chunk contract."""
+    out = []
+    for chunk in enumerate_bases(constraint, points):
+        assert chunk.dtype == np.int64 and chunk.ndim == 2
+        assert 1 <= len(chunk) <= matroid._BATCH and chunk.shape[1] == constraint.rank
+        out += map(tuple, chunk.tolist())
+    return out
 
 
 def _brute_rank(constraint, ground):
@@ -62,7 +73,7 @@ class TestCardinality:
 
     def test_enumerate_bases(self):
         c = CardinalityConstraint(2, range(4))
-        got = list(enumerate_bases(c, _points(4)))
+        got = _bases(c, _points(4))
         assert got == sorted(combinations(range(4), 2))
 
     def test_stray_id(self):
@@ -119,7 +130,7 @@ class TestPartition:
     def test_enumerate_bases_matches_filter(self):
         groups = {i: i % 2 for i in range(6)}
         c = PartitionConstraint((2, 1), groups)
-        got = set(enumerate_bases(c, _points(6, [i % 2 for i in range(6)])))
+        got = set(_bases(c, _points(6, [i % 2 for i in range(6)])))
         expected = {
             combo
             for combo in combinations(range(6), 3)
@@ -142,7 +153,7 @@ class TestPartition:
             keep = sorted(i for i in range(n) if trial < 10 or rng.random() < 0.8)
             ps = PointSet(2, [(i, np.array([float(i), 1.0]), labels[i]) for i in keep])
             expected = [s for s in combinations(keep, c.rank) if is_base(c, s)]
-            assert list(enumerate_bases(c, ps)) == expected
+            assert _bases(c, ps) == expected
         # cardinality: every size-k subset, including none when the point
         # set holds fewer than k ids
         for trial in range(20):
@@ -152,7 +163,7 @@ class TestPartition:
             ps = PointSet(2, [(i, np.array([float(i), 1.0]), None) for i in keep])
             expected = list(combinations(keep, c.k))
             assert expected == [s for s in combinations(keep, c.k) if is_base(c, s)]
-            assert list(enumerate_bases(c, ps)) == expected
+            assert _bases(c, ps) == expected
 
     def test_part_accessors(self):
         groups = {0: 0, 1: 1, 2: 0}
@@ -216,8 +227,48 @@ class TestLaminar:
 
     def test_enumerate_bases(self):
         c = LaminarConstraint([([0, 1], 1), ([2, 3], 1)], range(4))
-        got = set(enumerate_bases(c, _points(4)))
-        assert got == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        got = _bases(c, _points(4))
+        assert got == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+class TestEnumerateChunks:
+    def test_order_and_filter_across_small_chunks(self, monkeypatch):
+        # with chunks of 3, the filter leaves short chunks and drops empty
+        # ones, and the rows still run in lex order across chunk boundaries
+        monkeypatch.setattr(matroid, "_BATCH", 3)
+        labels = [i % 3 for i in range(9)]
+        ps = _points(9, labels)
+        cases = [
+            CardinalityConstraint(3, range(9)),
+            PartitionConstraint((2, 1, 0), dict(enumerate(labels))),
+            LaminarConstraint([([0, 1, 2, 3], 1), ([0, 1, 2, 3, 4, 5], 2)], range(9)),
+        ]
+        for c in cases:
+            expected = [s for s in combinations(range(9), c.rank) if is_base(c, s)]
+            chunks = list(enumerate_bases(c, ps))
+            assert _bases(c, ps) == expected
+            assert sum(map(len, chunks)) == len(expected) > 3
+        assert min(map(len, chunks)) < 3  # the laminar filter cut some chunk short
+
+    def test_rank_zero_yields_one_empty_base(self):
+        for c in (PartitionConstraint((0, 0), {0: 0, 1: 1}), LaminarConstraint([([0, 1], 0)], range(2))):
+            assert c.rank == 0
+            chunks = list(enumerate_bases(c, _points(2, [0, 1])))
+            assert len(chunks) == 1
+            assert chunks[0].shape == (1, 0) and chunks[0].dtype == np.int64
+
+    def test_stray_id_raises_on_the_call(self):
+        # ids 9 and 7 lie outside every ground set; the smallest is named
+        # before any chunk is asked for
+        ps = PointSet(2, [(i, np.array([float(i), 1.0]), i % 2) for i in (0, 1, 2, 3, 9, 7)])
+        cases = [
+            CardinalityConstraint(2, range(4)),
+            PartitionConstraint((1, 1), {i: i % 2 for i in range(4)}),
+            LaminarConstraint([([0, 1], 1)], range(4)),
+        ]
+        for c in cases:
+            with pytest.raises(UnknownIdError, match="id 7 is not in"):
+                enumerate_bases(c, ps)
 
 
 class TestOracleCap:

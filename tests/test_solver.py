@@ -4,10 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import detmax.matroid as matroid
 import detmax.solver as solver
 from detmax import (
     CardinalityConstraint,
     GuardExceededError,
+    InvariantError,
+    LaminarConstraint,
     MatrixInvariantError,
     ORACLE_CAP_ENV,
     PartitionConstraint,
@@ -16,6 +19,7 @@ from detmax import (
     build_coreset,
     greedy_constrained,
     is_base,
+    is_independent,
     nu,
     objective_value,
     solve_on_coreset,
@@ -118,11 +122,31 @@ class TestBruteForce:
                 mats[5 - first] = np.diag([1.0, -1.0])
             return real(mats, first=first)
 
-        monkeypatch.setattr(solver, "_BATCH", 4)
+        monkeypatch.setattr(matroid, "_BATCH", 4)
         monkeypatch.setattr(solver, "logdet_psd_batch", indefinite_base_5)
         ps = _rand_ps(2, 5, 2)
         with pytest.raises(MatrixInvariantError, match="matrix 5 is not PSD"):
             brute_force_opt(ps, CardinalityConstraint(2, ps.ids))
+
+    def test_ties_across_chunks_go_to_the_lex_smallest(self, monkeypatch):
+        # chunks of 3 bases: (1, 2) ends chunk 2 and its exact tie (2, 4)
+        # sits inside chunk 4; moving id 4 outward makes (2, 4) win outright
+        monkeypatch.setattr(matroid, "_BATCH", 3)
+        rows = [[0.1, 0.2], [1.0, 0.0], [0.0, 1.0], [0.3, 0.1], [1.0, 0.0], [0.2, 0.3]]
+        ps = PointSet(2, [(i, np.array(r), None) for i, r in enumerate(rows)])
+        c = CardinalityConstraint(2, ps.ids)
+        chunks = [chunk.tolist() for chunk in matroid.enumerate_bases(c, ps)]
+        assert chunks[1][2] == [1, 2] and chunks[3][1] == [2, 4]
+        assert objective_value(ps, [1, 2]) == objective_value(ps, [2, 4])
+        assert brute_force_opt(ps, c).ids == (1, 2)
+        rows[4] = [1.5, 0.0]
+        ps = PointSet(2, [(i, np.array(r), None) for i, r in enumerate(rows)])
+        assert brute_force_opt(ps, c).ids == (2, 4)
+
+    def test_rank_zero_is_one_empty_base(self):
+        ps = _rand_ps(4, 3, 2, [0, 0, 1])
+        got = brute_force_opt(ps, PartitionConstraint((0, 0), {0: 0, 1: 0, 2: 1}))
+        assert (got.ids, got.feasible) == ((), True)
 
     def test_guard(self, monkeypatch):
         monkeypatch.setenv(ORACLE_CAP_ENV, "10")
@@ -169,6 +193,36 @@ class TestGreedy:
         c = CardinalityConstraint(3, ps.ids)
         got = greedy_constrained(ps, c)
         assert got.feasible and len(got.ids) == 3
+
+
+    def test_masks_match_per_candidate_checks(self):
+        # the cap mask picks what one is_independent call per candidate did,
+        # on partitions (some short of a group's cap) and laminar families
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            n = int(rng.integers(9, 13))
+            ps = _rand_ps(200 + trial, n, 3, [int(g) for g in rng.integers(0, 3, n)])
+            if trial % 2:
+                c = LaminarConstraint([(range(4), 1), (range(7), 3), (range(7, n), 1)], range(n))
+            else:
+                c = PartitionConstraint((2, 1, 2), {i: int(ps.labels[i]) for i in range(n)})
+            keep = [i for i in range(n) if trial < 6 or rng.random() < 0.7]
+            sub = ps.restrict(keep)
+            chosen = []
+            for _ in range(c.rank):
+                cands = [x for x in keep if x not in chosen and is_independent(c, chosen + [x])]
+                if not cands:
+                    break
+                chosen.append(cands[int(np.argmax([objective_value(sub, chosen + [x]) for x in cands]))])
+            got = greedy_constrained(sub, c)
+            assert got.ids == tuple(sorted(chosen))
+            assert got.feasible == (len(chosen) == c.rank)
+
+    def test_final_pick_is_checked(self, monkeypatch):
+        ps = _rand_ps(5, 6, 2)
+        monkeypatch.setattr(solver, "is_independent", lambda constraint, S: False)
+        with pytest.raises(InvariantError, match="breaks a cap"):
+            greedy_constrained(ps, CardinalityConstraint(2, ps.ids))
 
 
 class TestSolveOnCoreset:
