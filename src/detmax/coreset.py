@@ -19,8 +19,9 @@ constraint shapes are covered:
 * partition: one peeling run per group, with that group's cap as threshold
   (threshold 1, a single local optimum, when k <= d).  A cardinality
   constraint is the partition of one group with cap k.
-* laminar: a recursion that peels each maximal family set, and for every
-  selected element descends into the largest proper family set around it.
+* laminar: the same peeling of each maximal family set, where a layer also
+  takes every child set it touches out of the working set, then a descent
+  into each touched child set.
 
 Coreset sizes are checked at construction and a violation raises
 InvariantError: s*k in the low-rank regime, k*ell for partitions in the
@@ -34,8 +35,9 @@ import numpy as np
 
 from .errors import InvariantError, PreconditionError
 from .geometry import distinct_ids, int_column, is_count
-from .localsearch import DEFAULT_ZETA, check_search, local_opt, search
-from .matroid import ground_labels, in_ground
+from .localsearch import DEFAULT_ZETA, check_search, search
+from .localsearch import local_opt  # noqa: F401  bench/layers.py wraps coreset.local_opt; drop both together
+from .matroid import ground_positions, membership
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde, regime_of
 
 
@@ -54,8 +56,12 @@ class PeelingCoreset:
         return frozenset().union(*(layer.ids for layer in self.layers))
 
 
-def _peel(ids, X, threshold, ell, zeta):
-    """Peel up to ``threshold`` disjoint local optima out of the rows of X (ids ``ids``, ascending)."""
+def _peel(ids, X, threshold, ell, zeta, child=None):
+    """Peel up to ``threshold`` disjoint local optima out of the rows of X (ids ``ids``, ascending).
+
+    ``child`` labels each row's child set (-1 for none); a layer then also takes
+    out every row that shares a label with one of its members.
+    """
     alive = np.ones(len(ids), dtype=bool)
     layers = []
     for _ in range(threshold):
@@ -63,7 +69,10 @@ def _peel(ids, X, threshold, ell, zeta):
         if not len(left):
             break
         layers.append(search(X[left], ids[left], ell, zeta))
-        alive[np.searchsorted(ids, layers[-1].ids)] = False
+        pos = np.searchsorted(ids, layers[-1].ids)
+        alive[pos] = False
+        if child is not None:
+            alive[np.isin(child, child[pos][child[pos] >= 0])] = False
     pc = PeelingCoreset(tuple(ids.tolist()), threshold, ell, zeta, tuple(layers))
     if len(pc.union) != sum(len(layer.ids) for layer in layers):
         raise InvariantError("peeling layers must be disjoint")
@@ -160,7 +169,7 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         raise PreconditionError("partition_coreset needs a partition constraint")
     k = constraint.rank
     ids = distinct_ids(V)
-    labels = ground_labels(constraint, ids)
+    labels = constraint.ground_labels[ground_positions(constraint, ids)]
     regime, ell = regime_of(k, points.dim)
     check_search(points.dim, ell, zeta)
     lowk = regime == REGIME_LOWK
@@ -198,43 +207,39 @@ def _cover_depth(constraint, i):
     return 1 + (max(_cover_depth(constraint, j) for j in kids) if kids else 0)
 
 
-def _build_laminar_node(points, vset, constraint, node_idx, ell, zeta, warnings, path):
-    members = constraint.set_ids(node_idx)
-    cap = constraint.cap_of(node_idx)
-    working = vset & members
-    layers = []
-    removed = []
-    child_nodes = {}
-    for layer_no in range(cap):
-        if not working:
-            break
-        res = local_opt(points, working, ell, zeta)
-        if res.degenerate:
+def _laminar_node(points, ids, member, constraint, i, ell, zeta, warnings, path):
+    """Peel family set i's share of the ascending ``ids`` (``member``: their membership rows).
+
+    Each child set a layer touches is recursed into at its first encounter, so warnings keep construction order.
+    """
+    inside = member[:, i]
+    ids, member = ids[inside], member[inside]
+    kids = np.array(constraint.children_of(i), dtype=np.int64)
+    child = member[:, kids] @ (kids + 1) - 1  # the children are disjoint
+    cap = constraint.cap_of(i)
+    if cap:  # only a search needs ell >= 1 and the rows; rank 0 gives ell 0
+        check_search(points.dim, ell, zeta)
+    pc = _peel(ids, points.rows(ids) if cap else None, cap, ell, zeta, child)
+    removed, children = [], {}
+    for layer_no, layer in enumerate(pc.layers):
+        if layer.degenerate:
             warnings.append("%s layer %d is degenerate" % (path, layer_no))
-        deleted = set()
-        for pid in res.ids:
-            child = constraint.child_containing(node_idx, pid)
-            if child is None:
-                deleted.add(pid)
-            else:
-                deleted |= constraint.set_ids(child)
-                if child not in child_nodes:
-                    child_nodes[child] = _build_laminar_node(
-                        points, vset, constraint, child, ell, zeta, warnings,
-                        "%s/set%d" % (path, child),
-                    )
-        layers.append(res)
-        removed.append(frozenset(deleted))
-        working = working - deleted
+        block = set()
+        for pid, j in zip(layer.ids, child[np.searchsorted(ids, layer.ids)].tolist()):
+            block |= {pid} if j < 0 else constraint.set_ids(j)
+            if j >= 0 and j not in children:
+                children[j] = _laminar_node(
+                    points, ids, member, constraint, j, ell, zeta, warnings, "%s/set%d" % (path, j)
+                )
+        removed.append(frozenset(block))
     node = LaminarNodeCoreset(
-        set_ids=members,
+        set_ids=constraint.set_ids(i),
         cap=cap,
-        layers=tuple(layers),
+        layers=pc.layers,
         removed=tuple(removed),
-        children=tuple(child_nodes[c] for c in sorted(child_nodes)),
+        children=tuple(children[j] for j in sorted(children)),
     )
-    depth = _cover_depth(constraint, node_idx)
-    if len(node.collect_ids()) > (cap * ell) ** depth:
+    if len(node.collect_ids()) > (cap * ell) ** _cover_depth(constraint, i):
         raise InvariantError("laminar node size bound violated")
     return node
 
@@ -242,40 +247,38 @@ def _build_laminar_node(points, vset, constraint, node_idx, ell, zeta, warnings,
 def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     """Coreset for a laminar constraint: peel each maximal set, recurse inward.
 
-    Every element of V outside all family sets is always selectable and is
-    included verbatim.  Layers have size ell from :func:`regime_of`.  Total
-    size is checked against (k*ell)**r where k is the constraint rank and r
-    the cover number of the family.
+    Each family set is peeled by :func:`_peel`, as a partition group is, with
+    its cap as threshold; a layer also takes out every child set it touches.
+    Elements of V outside every family set are always selectable and kept
+    verbatim.  Layers have size ell from :func:`regime_of`, and the total
+    size is checked against (k*ell)**r, k the rank and r the cover number.
     """
     if constraint.kind != "laminar":
         raise PreconditionError("laminar_coreset needs a laminar constraint")
     k = constraint.rank
     regime, ell = regime_of(k, points.dim)
-    vset = in_ground(constraint, distinct_ids(V).tolist())
+    ids = distinct_ids(V)
+    member, _ = membership(constraint, ids)
     warnings = []
-    roots = {}
-    for i in constraint.roots:
-        if vset & constraint.set_ids(i):
-            roots[i] = _build_laminar_node(
-                points, vset, constraint, i, ell, zeta, warnings, "set%d" % i
-            )
-    free = sorted(vset & constraint.free_ids)
-    ids = set(free)
-    for node in roots.values():
-        ids.update(node.collect_ids())
+    roots = {
+        i: _laminar_node(points, ids, member, constraint, i, ell, zeta, warnings, "set%d" % i)
+        for i in constraint.roots if member[:, i].any()
+    }
+    free = ids[~member.any(1)].tolist()
+    chosen = frozenset(free).union(*(node.collect_ids() for node in roots.values()))
     depth = max((_cover_depth(constraint, i) for i in constraint.roots), default=1)
     bound = (k * ell) ** depth
     # the per-node checks carry the real bound; this one catches accounting bugs
     node_sum = len(free) + sum(
         (constraint.cap_of(i) * ell) ** _cover_depth(constraint, i) for i in constraint.roots
     )
-    if len(ids) > max(bound, node_sum):
+    if len(chosen) > max(bound, node_sum):
         raise InvariantError("laminar coreset size bound violated")
     return CoresetResult(
-        ids=frozenset(ids),
+        ids=chosen,
         kind="laminar",
         regime=regime,
-        source=tuple(sorted(vset)),
+        source=tuple(ids.tolist()),
         ell=ell,
         zeta=zeta,
         declared_bound=bound,

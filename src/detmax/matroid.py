@@ -4,8 +4,9 @@ A constraint object knows its ground set of ids and answers independence
 queries.  A partition keeps one id-set and cap per group, and a cardinality
 constraint is the partition of one group with cap k; a laminar family is
 kept as a forest of nested sets.  The JSON schema keeps the kinds distinct.
-Every kind lists its caps as ``sets``, (id-set, cap) pairs, and one
-membership matrix over them filters the bases and greedy's candidates.
+Every kind lists its caps as ``sets``, (id-set, cap) pairs, and its ground
+ids ascending as ``ground_ids``.  :func:`ground_positions` is the one ground
+lookup, and :func:`membership` the one (ids, sets) matrix every cap query reads.
 
 Rank here is the achievable one: the size of a maximum independent subset of
 the ground set.  On sane instances (every group at least as large as its
@@ -13,9 +14,9 @@ cap) the partition rank equals the sum of caps.  Bases are independent sets
 of exactly rank elements.
 """
 
+import functools
 import math
 import os
-from collections import Counter
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     PreconditionError,
     UnknownIdError,
 )
-from .geometry import UNLABELED, check_ids, first_true, int_column, is_count, sorted_positions
+from .geometry import UNLABELED, check_ids, distinct_ids, first_true, int_column, is_count, sorted_positions
 
 DEFAULT_ORACLE_CAP = 10**6
 ORACLE_CAP_ENV = "DETMAX_ORACLE_CAP"
@@ -47,14 +48,6 @@ def oracle_cap():
     return cap
 
 
-def ground_labels(constraint, ids):
-    """The group of each id of the int array ``ids``; UnknownIdError names the smallest outside the ground set."""
-    pos, found = sorted_positions(constraint.ground_ids, ids)
-    if not found.all():
-        raise UnknownIdError("id %d is not in the constraint's ground set" % ids[~found].min())
-    return constraint.ground_labels[pos]
-
-
 class LaminarConstraint:
     """Caps on a laminar family of id-sets (pairwise nested or disjoint).
 
@@ -68,7 +61,8 @@ class LaminarConstraint:
     kind = "laminar"
 
     def __init__(self, sets, ground):
-        self.ground = frozenset(check_ids(ground, "ground").tolist())
+        ids = check_ids(ground, "ground")
+        self.ground_ids, self.ground = np.sort(ids), frozenset(ids.tolist())
         warnings = []
         raw = []
         for entry in sets:
@@ -122,8 +116,7 @@ class LaminarConstraint:
             tuple(i for i, par in enumerate(parent) if par == j) for j in range(len(parent))
         )
         self._roots = tuple(i for i, par in enumerate(parent) if par is None)
-        covered = frozenset().union(*(m for m, _ in self._sets))
-        self.free_ids = self.ground - covered
+        self.free_ids = self.ground.difference(*(m for m, _ in self._sets))
         self._rank = len(self.free_ids) + sum(self._contribution(i) for i in self._roots)
 
     def _contribution(self, i):
@@ -154,9 +147,13 @@ class LaminarConstraint:
     def cap_of(self, i):
         return self._sets[i][1]
 
-    def child_containing(self, i, pid):
-        """The child of node i whose set contains pid, or None."""
-        return next((j for j in self._children[i] if pid in self._sets[j][0]), None)
+    @functools.cached_property
+    def member(self):
+        """(len(ground_ids), len(sets)) bool: member[i, j] says whether ground_ids[i] lies in set j."""
+        member = np.zeros((len(self.ground_ids), len(self._sets)), dtype=bool)
+        for j, (members, _) in enumerate(self._sets):
+            member[np.searchsorted(self.ground_ids, np.fromiter(members, np.int64, len(members))), j] = True
+        return member
 
     @property
     def rank(self):
@@ -253,19 +250,11 @@ class CardinalityConstraint(PartitionConstraint):
         return "CardinalityConstraint(k=%d, n=%d)" % (self.k, len(self.ground))
 
 
-def in_ground(constraint, ids):
-    """``ids`` as a frozenset; UnknownIdError names the smallest one outside the ground set."""
-    sel = frozenset(ids)
-    stray = sel - constraint.ground
-    if stray:
-        raise UnknownIdError("id %d is not in the constraint's ground set" % min(stray))
-    return sel
-
-
 def is_independent(constraint, S):
-    """True iff the id-set S satisfies every cap of the constraint."""
-    sel = in_ground(constraint, S)
-    return len(sel) <= constraint.rank and all(len(sel & members) <= cap for members, cap in constraint.sets)
+    """True iff the id-set S keeps every cap; UnknownIdError names a non-int id or the smallest stray one."""
+    sel = distinct_ids(S)
+    member, caps = membership(constraint, sel)
+    return len(sel) <= constraint.rank and bool((member.sum(0) <= caps).all())
 
 
 def is_base(constraint, S):
@@ -274,15 +263,25 @@ def is_base(constraint, S):
     return len(sel) == constraint.rank and is_independent(constraint, sel)
 
 
+def ground_positions(constraint, ids):
+    """Rows of the int array ``ids`` in ``constraint.ground_ids``; UnknownIdError names the smallest id outside it."""
+    pos, found = sorted_positions(constraint.ground_ids, ids)
+    if not found.all():
+        raise UnknownIdError("id %d is not in the constraint's ground set" % ids[~found].min())
+    return pos
+
+
 def membership(constraint, ids):
     """``(member, caps)``: member[i, j] says whether ids[i] lies in set j of ``constraint.sets``, capped at caps[j].
 
     UnknownIdError names the smallest id of the int array ``ids`` outside the ground set.
+    A partition's rows are the one-hot of their labels; a laminar family's are read from ``member``.
     """
-    ids, sets = ids.tolist(), constraint.sets
-    in_ground(constraint, ids)
-    member = np.array([[i in members for members, _ in sets] for i in ids], dtype=bool)
-    return member.reshape(len(ids), len(sets)), np.array([cap for _, cap in sets], dtype=np.int64)
+    pos = ground_positions(constraint, ids)
+    caps = np.array([cap for _, cap in constraint.sets], dtype=np.int64)
+    if constraint.kind == "laminar":
+        return constraint.member[pos], caps
+    return constraint.ground_labels[pos, None] == np.arange(len(caps)), caps
 
 
 def enumerate_bases(constraint, points):
@@ -322,10 +321,7 @@ def _base_chunks(ids, k, member, caps):
 
 def cover_number(constraint):
     """Max number of family sets any single element belongs to (>= 1)."""
-    if constraint.kind != "laminar":
-        return 1
-    counts = Counter(chain.from_iterable(members for members, _ in constraint.sets))
-    return max(counts.values(), default=1)
+    return max(int(membership(constraint, constraint.ground_ids)[0].sum(1).max(initial=0)), 1)
 
 
 def constraint_from_json(doc, points):

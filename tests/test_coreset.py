@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import detmax.matroid as matroid
 from detmax import (
     CardinalityConstraint,
     LaminarConstraint,
@@ -13,6 +14,7 @@ from detmax import (
     PreconditionError,
     REGIME_HIGHK,
     REGIME_LOWK,
+    UnknownIdError,
     WeightProfile,
     build_coreset,
     compose,
@@ -23,6 +25,7 @@ from detmax import (
     find_laminar_exchange,
     find_value_preserving_exchange,
     is_base,
+    is_independent,
     laminar_coreset,
     mu_tilde,
     partition_coreset,
@@ -255,7 +258,7 @@ class TestLaminarCoreset:
         # preservation can reason about elements outside V as well
         for block in node.removed:
             for pid in block:
-                child = c.child_containing(root, pid)
+                child = next((j for j in c.children_of(root) if pid in c.set_ids(j)), None)
                 if child is not None:
                     assert c.set_ids(child) <= block
 
@@ -290,6 +293,98 @@ class TestLaminarCoreset:
         if e_in is not None:
             with pytest.raises(PreconditionError):
                 find_laminar_exchange(ps, base, e_in, cs)
+
+
+def _node_shape(node):
+    """A laminar node as (set ids, (layer ids, degenerate) pairs, removed blocks, child shapes)."""
+    return (
+        sorted(node.set_ids),
+        [(layer.ids, layer.degenerate) for layer in node.layers],
+        [sorted(block) for block in node.removed],
+        [_node_shape(child) for child in node.children],
+    )
+
+
+class TestLaminarRecursion:
+    def test_recursion_and_warning_order(self):
+        # ids 0..11 lie on one line, so every layer of two or more points is
+        # degenerate.  The root's layer 0 touches set 2 (at id 0) before set 1
+        # (at id 11); each subtree, warnings and all, is built at its first
+        # encounter and before the root's layer 1, while children stay in
+        # set order
+        line = [(i, [i + 1.0, 0.0], None) for i in range(12)]
+        ps = PointSet(2, line + [(12, [0.0, 1.0], None), (13, [1.0, 1.0], None)])
+        c = LaminarConstraint([(range(12), 3), ([9, 10, 11], 1), ([0, 1, 2, 3], 2), ([0, 1], 1)], range(14))
+        cs = build_coreset(ps, ps.ids, c)
+        assert sorted(cs.ids) == [0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13]
+        assert cs.layers == ((0, 11), (4, 8), (5, 7), (9, 11), (0, 3), (2,), (0, 1))
+        assert cs.warnings == (
+            "set0 layer 0 is degenerate",
+            "set0/set2 layer 0 is degenerate",
+            "set0/set2/set3 layer 0 is degenerate",
+            "set0/set1 layer 0 is degenerate",
+            "set0 layer 1 is degenerate",
+            "set0 layer 2 is degenerate",
+        )
+        assert list(cs.structure["roots"]) == [0] and cs.structure["free"] == (12, 13)
+        assert _node_shape(cs.structure["roots"][0]) == (
+            list(range(12)),
+            [((0, 11), True), ((4, 8), True), ((5, 7), True)],
+            [[0, 1, 2, 3, 9, 10, 11], [4, 8], [5, 7]],
+            [
+                ([9, 10, 11], [((9, 11), True)], [[9, 11]], []),
+                ([0, 1, 2, 3], [((0, 3), True), ((2,), False)], [[0, 1, 3], [2]],
+                 [([0, 1], [((0, 1), True)], [[0, 1]], [])]),
+            ],
+        )
+
+    # name -> (family, V, coreset ids, layers, roots V meets)
+    SHAPES = {
+        "empty family": ([], range(8), list(range(8)), (), []),
+        "nested sets all redundant": (
+            [([0, 1, 2, 3], 1), ([0, 1], 1), ([2, 3], 2)], range(8), [1, 3, 4, 5, 6, 7], ((1, 3),), [0],
+        ),
+        "cap 0": ([([0, 1, 2], 0), ([3, 4, 5], 1)], range(8), [3, 4, 6, 7], ((3, 4),), [0, 1]),
+        "V meets some roots": ([([0, 1, 2], 1), ([3, 4, 5], 1)], [0, 2, 6, 7], [0, 2, 6, 7], ((0, 2),), [0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_degenerate_shapes(self, name):
+        family, V, ids, layers, roots = self.SHAPES[name]
+        ps = _rand_ps(81, 8, 2)
+        c = LaminarConstraint(family, range(8))
+        cs = build_coreset(ps, V, c)
+        assert (sorted(cs.ids), cs.layers, sorted(cs.structure["roots"]), cs.warnings) == (ids, layers, roots, ())
+        member, caps = matroid.membership(c, np.arange(8))
+        assert member.tolist() == [[i in m for m, _ in c.sets] for i in range(8)]
+        assert caps.tolist() == [cap for _, cap in c.sets]
+
+        def fits(s):
+            return all(len(set(s) & m) <= cap for m, cap in c.sets)
+
+        for r in range(9):
+            assert [s for s in combinations(range(8), r) if is_independent(c, s)] == [
+                s for s in combinations(range(8), r) if fits(s)
+            ]
+        bases = [tuple(b) for chunk in enumerate_bases(c, ps) for b in chunk.tolist()]
+        assert bases == [s for s in combinations(range(8), c.rank) if fits(s)]
+        stray = PointSet(2, [(i, [1.0, float(i)], None) for i in (*range(8), 12, 10)])
+        calls = (
+            lambda: build_coreset(ps, [*V, 12, 10], c),
+            lambda: matroid.membership(c, np.array([12, 0, 10])),
+            lambda: is_independent(c, [12, 0, 10]),
+            lambda: enumerate_bases(c, stray),
+        )
+        for call in calls:
+            with pytest.raises(UnknownIdError, match="^id 10 is not in the constraint's ground set$"):
+                call()
+
+    def test_ground_ids_without_a_point(self):
+        # rows are looked up only where a search runs: ids 3..5 have no
+        # point, 3 and 4 lie in a cap-0 set and 5 is free and kept
+        ps = _rand_ps(5, 3, 2)
+        cs = laminar_coreset(ps, range(6), LaminarConstraint([([0, 1], 1), ([3, 4], 0)], range(6)))
+        assert sorted(cs.ids) == [0, 1, 2, 5] and cs.structure["free"] == (2, 5)
 
 
 class TestCoresetJson:

@@ -101,6 +101,25 @@ class TestCardinality:
             CardinalityConstraint(3, [0, 1, 1])
 
 
+class TestIdsThroughMembership:
+    def test_is_independent_and_is_base_inputs(self):
+        cases = (
+            CardinalityConstraint(2, range(4)),
+            PartitionConstraint((1, 1), {i: i % 2 for i in range(4)}),
+            LaminarConstraint([([0, 2], 1)], range(3)),
+        )
+        for c in cases:
+            assert c.rank == 2
+            assert is_independent(c, []) and not is_base(c, [])
+            assert is_independent(c, [0, 0, 1]) and is_base(c, [1, 0, 1])  # a repeated id counts once
+            assert is_independent(c, np.array([0, 1])) and is_base(c, [np.int64(0), np.int32(1)])
+            with pytest.raises(UnknownIdError, match="^id 99 is not in the constraint's ground set$"):
+                is_independent(c, [0, 99])
+            for bad in (1.0, True):  # only ints are ids
+                with pytest.raises(UnknownIdError):
+                    is_independent(c, [0, bad])
+
+
 class TestPartition:
     def test_independence_per_group(self):
         groups = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
