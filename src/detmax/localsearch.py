@@ -14,13 +14,22 @@ rounding, not by the ids.  Reruns on the same input produce the same
 selection.
 
 One sweep scores every exchange at once in closed form.  With A the rows of
-U, G = A A^T, B = X A^T and C = B G^-1, the exchange of member e for
-outsider f multiplies the squared volume by
+U, G = A A^T, B = A X^T (ell x n, from X^T made contiguous once per search)
+and C = G^-1 B, the exchange of member e for outsider f multiplies the
+squared volume by
 
-    det G(U - e + f) / det G(U) = C[f, e]^2 + |P_U^perp f|^2 * (G^-1)[e, e],
+    det G(U - e + f) / det G(U) = C[e, f]^2 + |P_U^perp f|^2 * (G^-1)[e, e],
 
-where |P_U^perp f|^2 = |f|^2 - sum_j B[f, j] C[f, j] is the squared distance
-of f from span(U).  G^-1 is recomputed from scratch on every sweep.
+where |P_U^perp f|^2 = |f|^2 - sum_j B[j, f] C[j, f] is the squared distance
+of f from span(U).  G^-1 is recomputed from scratch on every sweep.  Each
+member's row is contiguous, so its best outsider is a row argmax.
+
+The sweep reads no volume.  An accepted swap multiplies it by more than
+zeta >= 1, so a visited selection can score singular only through
+rounding, and the search still ends at the first one that does.  The
+visited selections are scored in one batched log-det after the loop, or
+before a swap-limit or linear-algebra error escapes; the end selection's
+value is taken alone, as the seed's is.
 """
 
 import math
@@ -114,19 +123,53 @@ def greedy_init(points, V, ell):
     return tuple(ids[_greedy_positions(points.rows(ids), min(ell, len(ids)))].tolist())
 
 
-def _exchange_ratios(X, norms, cur_pos):
-    """det G(U - e + f) / det G(U) for every row f of X and member e = cur_pos[j].
+def _exchange_ratios(XT, norms, cur_pos):
+    """det G(U - e + f) / det G(U) for member e = cur_pos[i] and every column f of XT.
 
-    Row f, column j; ``norms`` holds the squared row norms of X.
+    Row i, column f; ``norms`` holds the squared column norms of XT.
     """
-    A = X[cur_pos]
+    A = XT.T[cur_pos]  # the members' rows, C-contiguous as X[cur_pos] would be
     g_inv = np.linalg.inv(A @ A.T)
-    B = X @ A.T
-    C = B @ g_inv
-    resid = np.maximum(norms - np.einsum("ij,ij->i", B, C), 0.0)
-    ratio = np.multiply(C, C, out=B)  # B is spent; its n x ell buffer is reused
-    ratio += resid[:, None] * np.diag(g_inv)
+    Bt = A @ XT
+    Ct = g_inv @ Bt
+    resid = np.maximum(norms - np.einsum("ij,ij->j", Bt, Ct), 0.0)
+    ratio = np.multiply(Ct, Ct, out=Bt)  # Bt is spent; its ell x n buffer is reused
+    ratio += np.diag(g_inv)[:, None] * resid
     return ratio
+
+
+def _swap_sweeps(X, history, zeta, swap_limit):
+    """Append each accepted selection to ``history`` until no exchange clears zeta."""
+    XT = np.ascontiguousarray(X.T)
+    norms = np.einsum("ij,ij->i", X, X)
+    cur_pos = history[-1]
+    members = np.arange(len(cur_pos))
+    while True:
+        ratio = _exchange_ratios(XT, norms, cur_pos)
+        ratio[:, cur_pos] = -np.inf
+        into = ratio.argmax(axis=1)  # the best outsider for each member; ties: smallest in id
+        best = ratio[members, into]
+        j = int(np.argmax(best))  # ties: smallest out id
+        if not best[j] > zeta:
+            return
+        cur_pos = sorted(cur_pos[:j] + cur_pos[j + 1:] + [int(into[j])])
+        history.append(cur_pos)
+        if len(history) > swap_limit + 1:
+            raise SwapLimitError("local search exceeded %d accepted swaps" % swap_limit)
+
+
+def _cut_at_singular(X, history, stop):
+    """Drop what follows the first selection of volume zero among ``history[1:stop]``.
+
+    One batched log-det scores them all.  Returns whether one was found.
+    """
+    if stop < 2:
+        return False
+    vals = logdet_psd_batch(np.stack([X[pos] @ X[pos].T for pos in history[1:stop]]))
+    hits = np.flatnonzero(vals == -np.inf)
+    if len(hits):
+        del history[hits[0] + 2:]
+    return len(hits) > 0
 
 
 def search(X, ids, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
@@ -136,24 +179,24 @@ def search(X, ids, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
     wins a tie; ``ell`` is at most X's width.  See :func:`local_opt`.
     """
     take = min(ell, len(X))
-    cur_pos = sorted(_greedy_positions(X, take))
-    val = _nu_rows(X[cur_pos])
-    norms = np.einsum("ij,ij->i", X, X)
-    swaps = 0
-    while val > -math.inf and len(X) > take:
-        ratio = _exchange_ratios(X, norms, cur_pos)
-        ratio[cur_pos] = -np.inf
-        into = ratio.argmax(axis=0)  # the best outsider for each member; ties: smallest in id
-        best = ratio[into, np.arange(take)]
-        j = int(np.argmax(best))  # ties: smallest out id
-        if not best[j] > zeta:
-            break
-        cur_pos = sorted(cur_pos[:j] + cur_pos[j + 1:] + [int(into[j])])
-        val = _nu_rows(X[cur_pos])
-        swaps += 1
-        if swaps > swap_limit:
-            raise SwapLimitError("local search exceeded %d accepted swaps" % swap_limit)
-    return LocalOptResult(tuple(ids[cur_pos].tolist()), val, ell, zeta, swaps, val == -math.inf)
+    history = [sorted(_greedy_positions(X, take))]
+    val = _nu_rows(X[history[0]])
+    if val > -math.inf and len(X) > take:
+        try:
+            _swap_sweeps(X, history, zeta, swap_limit)
+        except (SwapLimitError, np.linalg.LinAlgError) as exc:
+            # the search ends at a singular selection before any later sweep
+            # fails; the selection that tripped the swap limit is not scored
+            if not _cut_at_singular(X, history, len(history) - isinstance(exc, SwapLimitError)):
+                raise
+            val = -math.inf
+        else:
+            if _cut_at_singular(X, history, len(history) - 1):
+                val = -math.inf
+            elif len(history) > 1:
+                val = _nu_rows(X[history[-1]])
+    swaps = len(history) - 1
+    return LocalOptResult(tuple(ids[history[-1]].tolist()), val, ell, zeta, swaps, val == -math.inf)
 
 
 def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):

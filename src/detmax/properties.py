@@ -98,28 +98,54 @@ def _exchange_failures(points, profile, pairs, exchange, feasible):
     return calls, bad
 
 
+def _exact_scatter_logdet(rows):
+    """log det of the sum of x x^T over float64 ``rows``, in exact rational arithmetic.
+
+    -inf when the determinant is exactly 0.  The scatter is PSD, so its
+    elimination meets a zero pivot only when it is singular.
+    """
+    from fractions import Fraction  # here, not at the top: it loads decimal, which runs need not
+
+    vecs = [[Fraction(x) for x in row] for row in rows.tolist()]
+    d = rows.shape[1]
+    m = [[sum((v[a] * v[b] for v in vecs), Fraction(0)) for b in range(d)] for a in range(d)]
+    det = Fraction(1)
+    for j in range(d):
+        if m[j][j] == 0:
+            return -math.inf
+        det *= m[j][j]
+        for i in range(j + 1, d):
+            f = m[i][j] / m[j][j]
+            for c in range(j + 1, d):
+                m[i][c] -= f * m[j][c]
+    return math.log(det.numerator) - math.log(det.denominator)
+
+
 def cauchy_binet(seed):
-    """mu equals its Cauchy-Binet sum over d-subsets, or both are -inf (c01)."""
+    """mu and its Cauchy-Binet sum over d-subsets each match the exact log-det (c01).
+
+    The exact value is taken in rational arithmetic from the same float64
+    coordinates; an exactly singular scatter must be -inf on both routes.
+    """
     rng = np.random.default_rng(seed)
-    worst, both_inf, bad = 0.0, 0, []
+    worst, singular, bad = {"mu": 0.0, "sum": 0.0}, 0, []
     for trial in range(500):
         d = int(rng.integers(2, 5))
         k = int(rng.integers(d, 7))
         n = int(rng.integers(max(k, d), 11))
         points = _point_set(rng, n, d, "grid" if trial % 5 == 0 else "normal")
         S = sorted(rng.choice(n, size=k, replace=False).tolist())
-        a, b = mu(points, S), mu_cauchy_binet(points, S)
-        if a == -math.inf or b == -math.inf:
-            if a == b:
-                both_inf += 1
+        exact = _exact_scatter_logdet(points.rows(S))
+        singular += exact == -math.inf
+        for route, got in (("mu", mu(points, S)), ("sum", mu_cauchy_binet(points, S))):
+            if exact == -math.inf or got == -math.inf:
+                if got != exact:
+                    bad.append(("singular on one side only", trial, route))
             else:
-                bad.append(("one route singular", trial))
-        else:
-            worst = max(worst, abs(a - b))
-    if worst > 1e-8:
-        bad.append(("worst gap above 1e-8", worst))
-    return _verdict(bad, "500 instances, worst |mu - sum-over-d-subsets| = %.2e, %d doubly singular"
-                    % (worst, both_inf))
+                worst[route] = max(worst[route], abs(got - exact))
+    bad += [("worst %s gap above 1e-8" % route, gap) for route, gap in worst.items() if gap > 1e-8]
+    return _verdict(bad, "500 instances, worst gap to the exact log-det = %.2e (mu), %.2e "
+                    "(sum over d-subsets), %d exactly singular" % (worst["mu"], worst["sum"], singular))
 
 
 def sandwich(seed):

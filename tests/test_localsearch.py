@@ -13,7 +13,15 @@ from detmax import (
     nu,
     verify_local_opt,
 )
-from detmax.localsearch import _exchange_ratios
+from detmax import localsearch
+from detmax.localsearch import (
+    SWAP_LIMIT,
+    LocalOptResult,
+    _exchange_ratios,
+    _greedy_positions,
+    _nu_rows,
+    search,
+)
 
 
 def _ps(vectors):
@@ -31,6 +39,74 @@ def _rand_ps(seed, n, d):
 
 def _brute_best(points, ids, ell):
     return max(nu(points, list(c)) for c in combinations(sorted(ids), ell))
+
+
+def _reference_search(X, ids, ell, zeta=1.01, swap_limit=SWAP_LIMIT):
+    """The swap loop in the n x ell layout, scoring the selection after every swap.
+
+    ``search`` must reach the same result: it sweeps in the ell x n layout
+    and scores the visited selections once, after its loop.
+    """
+    take = min(ell, len(X))
+    cur_pos = sorted(_greedy_positions(X, take))
+    val = _nu_rows(X[cur_pos])
+    norms = np.einsum("ij,ij->i", X, X)
+    swaps = 0
+    while val > -math.inf and len(X) > take:
+        A = X[cur_pos]
+        g_inv = np.linalg.inv(A @ A.T)
+        B = X @ A.T
+        C = B @ g_inv
+        resid = np.maximum(norms - np.einsum("ij,ij->i", B, C), 0.0)
+        ratio = C * C + resid[:, None] * np.diag(g_inv)
+        ratio[cur_pos] = -np.inf
+        into = ratio.argmax(axis=0)
+        best = ratio[into, np.arange(take)]
+        j = int(np.argmax(best))
+        if not best[j] > zeta:
+            break
+        cur_pos = sorted(cur_pos[:j] + cur_pos[j + 1:] + [int(into[j])])
+        val = _nu_rows(X[cur_pos])
+        swaps += 1
+        if swaps > swap_limit:
+            raise SwapLimitError("local search exceeded %d accepted swaps" % swap_limit)
+    return LocalOptResult(tuple(ids[cur_pos].tolist()), val, ell, zeta, swaps, val == -math.inf)
+
+
+def _outcome(run, *args, **kw):
+    """(ids, value, swap_count, degenerate) of a search, or the type of what it raised."""
+    try:
+        res = run(*args, **kw)
+    except (SwapLimitError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+    return res.ids, res.value, res.swap_count, res.degenerate
+
+
+def _clustered(seed=3, n=300, d=16):
+    rng = np.random.default_rng(seed)
+    centres = 3.0 * rng.standard_normal((20, d))
+    return centres[rng.integers(0, 20, n)] + 0.3 * rng.standard_normal((n, d))
+
+
+def _search_input(kind, seed, full_rank):
+    """Rows and ell for one reference comparison: ell = d when ``full_rank``, else ell < d."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 9))
+    ell = d if full_rank else int(rng.integers(1, d))
+    n = int(rng.integers(ell, 80))
+    if kind == "random":
+        X = rng.standard_normal((n, d))
+    elif kind == "rounded":
+        X = np.round(2.0 * rng.standard_normal((n, d)))
+    elif kind == "rescaled":
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+    elif kind == "duplicated":
+        base = rng.standard_normal((max(1, n // 3), d))
+        X = base[rng.integers(0, len(base), n)]
+    else:
+        centres = 3.0 * rng.standard_normal((int(rng.integers(1, 6)), d))
+        X = centres[rng.integers(0, len(centres), n)] + 0.05 * rng.standard_normal((n, d))
+    return X, ell
 
 
 class TestGreedyInit:
@@ -170,7 +246,7 @@ class TestExchangeRatios:
             X = ps.rows(ps.ids)
             rng = np.random.default_rng(seed)
             cur = sorted(int(p) for p in rng.choice(n, ell, replace=False))
-            ratio = _exchange_ratios(X, np.einsum("ij,ij->i", X, X), cur)
+            ratio = _exchange_ratios(np.ascontiguousarray(X.T), np.einsum("ij,ij->i", X, X), cur).T
             base = nu(ps, cur)
             for j, e in enumerate(cur):
                 for f in range(n):
@@ -185,10 +261,8 @@ class TestExchangeRatios:
     def test_clustered_instance_many_swaps(self):
         # greedy seeds several points near the same centres, so the search
         # makes many exchanges; its end point must pass the exhaustive check
-        rng = np.random.default_rng(3)
-        n, d = 300, 16
-        centres = 3.0 * rng.standard_normal((20, d))
-        X = centres[rng.integers(0, 20, n)] + 0.3 * rng.standard_normal((n, d))
+        X = _clustered()
+        n, d = X.shape
         ps = PointSet(d, [(i, X[i], None) for i in range(n)])
         res = local_opt(ps, ps.ids, d, 1.01)
         assert res.swap_count >= 10
@@ -203,10 +277,84 @@ class TestExchangeRatios:
         ps = _ps([(0, 2, -2), (-2, -1, 1), (1, -1, -2), (2, -2, 0), (1, -1, -2)])
         assert sorted(greedy_init(ps, ps.ids, 3)) == [0, 1, 3]
         X = ps.rows(ps.ids)
-        ratio = _exchange_ratios(X, np.einsum("ij,ij->i", X, X), [0, 1, 3])
+        ratio = _exchange_ratios(np.ascontiguousarray(X.T), np.einsum("ij,ij->i", X, X), [0, 1, 3]).T
         assert ratio[2, 0] == ratio[4, 0] == ratio[2, 2] == ratio[4, 2] == 2.25
         res = local_opt(ps, ps.ids, 3, 1.01)
         assert (res.ids, res.swap_count) == ((1, 2, 3), 1)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", ["random", "rounded", "rescaled", "duplicated", "clustered"])
+    def test_same_result_as_reference(self, kind):
+        # 64 inputs per kind and rank mode, 640 in all; sparse ascending ids
+        swaps = 0
+        for full_rank in (False, True):
+            for seed in range(64):
+                X, ell = _search_input(kind, seed, full_rank)
+                ids = 3 * np.arange(len(X)) + 7
+                want = _outcome(_reference_search, X, ids, ell)
+                assert _outcome(search, X, ids, ell) == want, (full_rank, seed)
+                swaps += want[2]
+        assert swaps > 0
+
+    def test_clustered_many_swaps_matches_reference(self):
+        X = _clustered()
+        ids = np.arange(len(X))
+        want = _outcome(_reference_search, X, ids, X.shape[1])
+        assert want[2] >= 10
+        assert _outcome(search, X, ids, X.shape[1]) == want
+
+    def test_deferred_stop_at_a_singular_selection(self, monkeypatch):
+        # the loop reads no volume, so a selection scored singular midway
+        # must still end the search there, before a later sweep can fail
+        X = _clustered()
+        ids = np.arange(len(X))
+        ell = X.shape[1]
+        true_logdet = localsearch.logdet_psd_batch
+        grams, calls = [], []
+
+        def recording(mats, **kw):
+            grams.extend(np.asarray(mats))
+            calls.append(len(mats))
+            return true_logdet(mats, **kw)
+
+        monkeypatch.setattr(localsearch, "logdet_psd_batch", recording)
+        plain = search(X, ids, ell)
+        assert plain.swap_count >= 10 and not plain.degenerate
+        assert len(calls) <= 3
+        del grams[:], calls[:]
+        assert _outcome(_reference_search, X, ids, ell) == _outcome(search, X, ids, ell)
+        assert len(calls) == plain.swap_count + 1 + 3
+        marked = grams[5]  # the reference's Gram after its fifth swap
+
+        def singular_at_fifth(mats, **kw):
+            vals = true_logdet(mats, **kw)
+            vals[[np.array_equal(m, marked) for m in mats]] = -np.inf
+            return vals
+
+        monkeypatch.setattr(localsearch, "logdet_psd_batch", singular_at_fifth)
+        for limit in (SWAP_LIMIT, 5, 4):
+            want = _outcome(_reference_search, X, ids, ell, swap_limit=limit)
+            assert _outcome(search, X, ids, ell, swap_limit=limit) == want
+        assert _outcome(search, X, ids, ell)[2:] == (5, True)
+        assert _outcome(search, X, ids, ell, swap_limit=4) is SwapLimitError
+
+        # a sweep from the singular selection, where the reference stops,
+        # may fail; its error does not escape
+        true_ratios = localsearch._exchange_ratios
+        sweeps = []
+
+        def failing_sixth_sweep(*args):
+            sweeps.append(1)
+            if len(sweeps) == 6:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return true_ratios(*args)
+
+        monkeypatch.setattr(localsearch, "_exchange_ratios", failing_sixth_sweep)
+        assert _outcome(search, X, ids, ell)[2:] == (5, True)
+        sweeps.clear()
+        monkeypatch.setattr(localsearch, "logdet_psd_batch", true_logdet)
+        assert _outcome(search, X, ids, ell) is np.linalg.LinAlgError
 
 
 class TestVerifyLocalOpt:

@@ -20,6 +20,7 @@ from detmax import (
     nu,
     objective_value,
 )
+from detmax.properties import _exact_scatter_logdet
 from exact_oracles import exact_gram_det, exact_log
 
 
@@ -116,6 +117,17 @@ class TestCauchyBinet:
         ps = _ps([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
         assert mu_cauchy_binet(ps, [0, 1, 2]) == -math.inf
         assert mu(ps, [0, 1, 2]) == -math.inf
+
+    def test_exact_scatter_logdet(self):
+        # the c01 reference matches Bareiss on integer rows, singular ones too
+        rng = np.random.default_rng(4)
+        for trial in range(20):
+            d = int(rng.integers(2, 5))
+            rows = rng.integers(-2, 3, size=(int(rng.integers(d, 7)), d)).astype(float)
+            det = exact_gram_det(rows.astype(int).tolist())
+            want = exact_log(det) if det else -math.inf
+            assert _exact_scatter_logdet(rows) == want
+        assert _exact_scatter_logdet(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])) == -math.inf
 
     def test_guard(self):
         rng = np.random.default_rng(0)
