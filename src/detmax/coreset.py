@@ -28,6 +28,7 @@ InvariantError: s*k in the low-rank regime, k*ell for partitions in the
 high-rank regime, (k*ell)**r for laminar families with cover number r.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ class PeelingCoreset:
 
 
 def _peel(ids, X, threshold, ell, zeta, child=None):
-    """Peel up to ``threshold`` disjoint local optima out of the rows of X (ids ``ids``, ascending).
+    """The layers: up to ``threshold`` disjoint local optima peeled out of the rows of X (ids ``ids``, ascending).
 
     ``child`` labels each row's child set (-1 for none); a layer then also takes
     out every row that shares a label with one of its members.
@@ -73,12 +74,12 @@ def _peel(ids, X, threshold, ell, zeta, child=None):
         alive[pos] = False
         if child is not None:
             alive[np.isin(child, child[pos][child[pos] >= 0])] = False
-    pc = PeelingCoreset(tuple(ids.tolist()), threshold, ell, zeta, tuple(layers))
-    if len(pc.union) != sum(len(layer.ids) for layer in layers):
+    picked = np.array([pid for layer in layers for pid in layer.ids], dtype=np.int64)
+    if len(distinct_ids(picked)) != len(picked):
         raise InvariantError("peeling layers must be disjoint")
-    if len(pc.union) > threshold * ell:
+    if len(picked) > threshold * ell:
         raise InvariantError("peeling size bound violated")
-    return pc
+    return tuple(layers)
 
 
 def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
@@ -92,7 +93,7 @@ def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
         raise PreconditionError("threshold must be a positive int, got %r" % (threshold,))
     check_search(points.dim, ell, zeta)
     ids = distinct_ids(V)
-    return _peel(ids, points.rows(ids), threshold, ell, zeta)
+    return PeelingCoreset(tuple(ids.tolist()), threshold, ell, zeta, _peel(ids, points.rows(ids), threshold, ell, zeta))
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,11 @@ class LaminarNodeCoreset:
 
 @dataclass(frozen=True)
 class CoresetResult:
-    """A finished coreset: the ids plus enough structure to replay exchanges.
+    """A finished coreset: the ids, the layers, and for a laminar family the tree that replays exchanges.
 
     ``layers`` holds every local-search layer in construction order, each a
-    sorted id tuple.  A result read back from JSON keeps its layers but has
-    an empty ``structure``, so it can be composed but not replayed.
+    sorted id tuple.  ``structure`` is empty for partition, composed and
+    read-back results.
     """
 
     ids: frozenset
@@ -179,7 +180,7 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         share = labels == g
         if (lowk or cap) and share.any():
             parts[g] = _peel(ids[share], points.coords[rows[share]], 1 if lowk else cap, ell, zeta)
-    layers = [layer for pc in parts.values() for layer in pc.layers]
+    layers = [layer for part in parts.values() for layer in part]
     chosen = frozenset().union(*(layer.ids for layer in layers))
     bound = len(constraint.caps) * k if lowk else k * ell
     if len(chosen) > bound:
@@ -194,10 +195,10 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         zeta=zeta,
         declared_bound=bound,
         layers=tuple(layer.ids for layer in layers),
-        structure={"parts": parts},
+        structure={},
         warnings=tuple(
             "%s layer %d is degenerate (working set rank below ell)" % (name, i)
-            for name, pc in zip(names, parts.values()) for i, layer in enumerate(pc.layers) if layer.degenerate
+            for name, part in zip(names, parts.values()) for i, layer in enumerate(part) if layer.degenerate
         ),
     )
 
@@ -207,8 +208,8 @@ def _cover_depth(constraint, i):
     return 1 + (max(_cover_depth(constraint, j) for j in kids) if kids else 0)
 
 
-def _laminar_node(points, ids, member, constraint, i, ell, zeta, warnings, path):
-    """Peel family set i's share of the ascending ``ids`` (``member``: their membership rows).
+def _laminar_node(points, ids, member, constraint, set_ids, i, ell, zeta, warnings, path):
+    """Peel family set i's share of the ascending ``ids`` (``member``: their membership rows; ``set_ids``: a set's ids).
 
     Each child set a layer touches is recursed into at its first encounter, so warnings keep construction order.
     """
@@ -216,26 +217,26 @@ def _laminar_node(points, ids, member, constraint, i, ell, zeta, warnings, path)
     ids, member = ids[inside], member[inside]
     kids = np.array(constraint.children_of(i), dtype=np.int64)
     child = member[:, kids] @ (kids + 1) - 1  # the children are disjoint
-    cap = constraint.cap_of(i)
+    cap = constraint.caps[i]
     if cap:  # only a search needs ell >= 1 and the rows; rank 0 gives ell 0
         check_search(points.dim, ell, zeta)
-    pc = _peel(ids, points.rows(ids) if cap else None, cap, ell, zeta, child)
+    layers = _peel(ids, points.rows(ids) if cap else None, cap, ell, zeta, child)
     removed, children = [], {}
-    for layer_no, layer in enumerate(pc.layers):
+    for layer_no, layer in enumerate(layers):
         if layer.degenerate:
             warnings.append("%s layer %d is degenerate" % (path, layer_no))
         block = set()
         for pid, j in zip(layer.ids, child[np.searchsorted(ids, layer.ids)].tolist()):
-            block |= {pid} if j < 0 else constraint.set_ids(j)
+            block |= {pid} if j < 0 else set_ids(j)
             if j >= 0 and j not in children:
                 children[j] = _laminar_node(
-                    points, ids, member, constraint, j, ell, zeta, warnings, "%s/set%d" % (path, j)
+                    points, ids, member, constraint, set_ids, j, ell, zeta, warnings, "%s/set%d" % (path, j)
                 )
         removed.append(frozenset(block))
     node = LaminarNodeCoreset(
-        set_ids=constraint.set_ids(i),
+        set_ids=set_ids(i),
         cap=cap,
-        layers=pc.layers,
+        layers=layers,
         removed=tuple(removed),
         children=tuple(children[j] for j in sorted(children)),
     )
@@ -259,9 +260,10 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     regime, ell = regime_of(k, points.dim)
     ids = distinct_ids(V)
     member, _ = membership(constraint, ids)
+    set_ids = functools.cache(constraint.set_ids)  # each set's frozenset is built once per coreset
     warnings = []
     roots = {
-        i: _laminar_node(points, ids, member, constraint, i, ell, zeta, warnings, "set%d" % i)
+        i: _laminar_node(points, ids, member, constraint, set_ids, i, ell, zeta, warnings, "set%d" % i)
         for i in constraint.roots if member[:, i].any()
     }
     free = ids[~member.any(1)].tolist()
@@ -270,7 +272,7 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     bound = (k * ell) ** depth
     # the per-node checks carry the real bound; this one catches accounting bugs
     node_sum = len(free) + sum(
-        (constraint.cap_of(i) * ell) ** _cover_depth(constraint, i) for i in constraint.roots
+        (constraint.caps[i] * ell) ** _cover_depth(constraint, i) for i in constraint.roots
     )
     if len(chosen) > max(bound, node_sum):
         raise InvariantError("laminar coreset size bound violated")
@@ -304,7 +306,7 @@ def compose(coresets):
     """Union per-machine coresets built over pairwise disjoint working sets.
 
     All inputs must agree on ell, zeta, kind, and regime.  The result keeps
-    the machines in the structure so their exchanges can still be replayed.
+    the ids, the layers in machine order and the warnings, not the machines.
     """
     parts = list(coresets)
     if not parts:
@@ -328,7 +330,7 @@ def compose(coresets):
         zeta=first.zeta,
         declared_bound=sum(cs.declared_bound for cs in parts),
         layers=tuple(layer for cs in parts for layer in cs.layers),
-        structure={"machines": tuple(parts)},
+        structure={},
         warnings=tuple(w for cs in parts for w in cs.warnings),
     )
 

@@ -17,6 +17,7 @@ has an eigenvalue below it, that is when the input was not PSD to begin
 with; otherwise it is rounding on a singular matrix and counts as zero.
 """
 
+import functools
 import numbers
 
 import numpy as np
@@ -167,17 +168,16 @@ class PointSet:
         self._order, self._sorted = order, col[order]
         for a in (col, x, labels, order):
             a.setflags(write=False)
-        self._id_tuple = tuple(col.tolist())
         return self
 
     @property
     def dim(self):
         return self._dim
 
-    @property
+    @functools.cached_property
     def ids(self):
-        """The ids as a tuple of ints, in order."""
-        return self._id_tuple
+        """The ids as a tuple of ints, in order, built on first read."""
+        return tuple(self._ids.tolist())
 
     @property
     def id_array(self):
@@ -208,7 +208,7 @@ class PointSet:
         elif q.size == 0:
             return np.zeros(q.shape, dtype=np.intp)
         else:  # not all ints: name the first entry that is not a known id
-            known = set(self._id_tuple)
+            known = set(self.ids)
             entries = np.asarray(ids, dtype=object).ravel().tolist()
             missing = next(v for v in entries if not is_count(v) or v not in known)
         raise UnknownIdError("no point with id %r" % (missing,))

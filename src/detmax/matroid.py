@@ -1,20 +1,20 @@
-"""Cardinality, partition, and laminar matroid constraints.
+"""Cardinality, partition, and laminar matroid constraints in one array form.
 
-A constraint object knows its ground set of ids and answers independence
-queries.  A partition keeps one id-set and cap per group, and a cardinality
-constraint is the partition of one group with cap k; a laminar family is
-kept as a forest of nested sets.  The JSON schema keeps the kinds distinct.
-Every kind lists its caps as ``sets``, (id-set, cap) pairs, and its ground
-ids ascending as ``ground_ids``.  :func:`ground_positions` is the one ground
-lookup, and :func:`membership` the one (ids, sets) matrix every cap query reads.
+Every kind is its label column: ``ground_ids`` holds the distinct ground ids
+ascending, and ``ground_labels`` the smallest family set holding each, or
+UNLABELED for an id in no set.  ``caps`` holds one cap per set and
+``parents`` each set's parent, -1 for a root.  A partition is the depth-one
+case, a cardinality constraint its one-group case.  Each kind keeps its own
+constructor and checks; rank, the forest accessors, the frozenset views
+``sets``, ``set_ids`` and ``free_ids``, :func:`membership` (the one (ids,
+sets) matrix every cap query reads) and :func:`cover_number` are read from
+the labels and the parents.  :func:`ground_positions` is the one ground lookup.
 
-Rank here is the achievable one: the size of a maximum independent subset of
-the ground set.  On sane instances (every group at least as large as its
-cap) the partition rank equals the sum of caps.  Bases are independent sets
-of exactly rank elements.
+Rank is the achievable one: the size of a maximum independent subset of the
+ground set, the sum of the caps when every group has at least its cap.
+Bases are independent sets of exactly rank elements.
 """
 
-import functools
 import math
 import os
 from itertools import chain, combinations, islice
@@ -48,132 +48,134 @@ def oracle_cap():
     return cap
 
 
-class LaminarConstraint:
+def _upward(parents, sets):
+    """Yield ``sets`` (an int array), their parents, grandparents, ... (UNLABELED above a root) while any is a set."""
+    above = np.append(parents, UNLABELED)  # UNLABELED's own entry keeps it UNLABELED
+    while (sets >= 0).any():
+        yield sets
+        sets = above[sets]
+
+
+class _LabelForest:
+    """The array form every constraint kind is stored in (see the module docstring)."""
+
+    def _settle(self, ground_ids, ground_labels, caps, parents, warnings):
+        """Store the form and compute the rank bottom-up from the count of ids labelled with each set."""
+        self.ground_ids, self.ground_labels = ground_ids, ground_labels
+        self.caps, self.parents, self.warnings = tuple(caps), parents, tuple(warnings)
+        direct = np.bincount(ground_labels[ground_labels >= 0], minlength=len(caps)).tolist()
+        kids = [[] for _ in caps]
+        for i, p in enumerate(parents.tolist()):
+            if p >= 0:
+                kids[p].append(i)
+
+        def avail(i):  # the most ids selectable inside set i
+            return min(self.caps[i], direct[i] + sum(map(avail, kids[i])))
+
+        self.rank = int(np.count_nonzero(ground_labels == UNLABELED)) + sum(map(avail, self.roots))
+
+    @property
+    def roots(self):
+        return tuple(np.flatnonzero(self.parents < 0).tolist())
+
+    def children_of(self, i):
+        return tuple(np.flatnonzero(self.parents == i).tolist())
+
+    def set_ids(self, i):
+        """The ids of set i, a frozenset built on each call: those labelled i or a set below it."""
+        inside = np.zeros(len(self.caps) + 1, dtype=bool)  # the last entry answers for UNLABELED
+        for up in _upward(self.parents, np.arange(len(self.caps))):
+            inside[:-1] |= up == i
+        return frozenset(self.ground_ids[inside[self.ground_labels]].tolist())
+
+    @property
+    def sets(self):
+        """The family as a tuple of (frozenset ids, cap), built on each read."""
+        return tuple((self.set_ids(i), cap) for i, cap in enumerate(self.caps))
+
+    @property
+    def free_ids(self):
+        """The ids in no family set, as a frozenset built on each read."""
+        return frozenset(self.ground_ids[self.ground_labels == UNLABELED].tolist())
+
+
+def _shared_row(family):
+    """Smallest row shared by the first pair of ``family`` ((sorted rows, cap) pairs) that overlap without nesting."""
+    for i, (a, _) in enumerate(family):
+        for b, _ in family[i + 1:]:
+            shared = np.intersect1d(a, b, assume_unique=True)
+            if 0 < len(shared) < min(len(a), len(b)):
+                return shared[0]
+
+
+class LaminarConstraint(_LabelForest):
     """Caps on a laminar family of id-sets (pairwise nested or disjoint).
 
     Nested redundant caps (inner cap >= outer cap) are repaired at
     construction by dropping the inner set; duplicates keep the smaller cap.
     Every repair is recorded in ``warnings``.  A cap of 0 keeps the set but
     makes its members unselectable, which matches stripping them from the
-    ground set, and is also recorded as a warning.
+    ground set, and is also recorded as a warning.  Set indices follow the
+    first occurrence of each surviving set, and repeated ids collapse.
     """
 
     kind = "laminar"
 
     def __init__(self, sets, ground):
-        ids = check_ids(ground, "ground")
-        self.ground_ids, self.ground = np.sort(ids), frozenset(ids.tolist())
-        warnings = []
-        raw = []
+        ground_ids = distinct_ids(check_ids(ground, "ground"))
+        warnings, family = [], {}
         for entry in sets:
             ids, cap = entry
-            members = frozenset(check_ids(ids, "laminar set").tolist())
-            if not members:
+            ids = distinct_ids(check_ids(ids, "laminar set"))
+            if not len(ids):
                 raise InstanceFormatError("laminar set must be nonempty")
-            stray = members - self.ground
-            if stray:
-                raise UnknownIdError("laminar set mentions unknown id %d" % min(stray))
+            rows, found = sorted_positions(ground_ids, ids)
+            if not found.all():
+                raise UnknownIdError("laminar set mentions unknown id %d" % ids[~found][0])
             if not is_count(cap):
                 raise InstanceFormatError("laminar cap must be a non-negative int, got %r" % (cap,))
-            raw.append((members, cap))
-        for (f1, _), (f2, _) in combinations(raw, 2):
-            inter = f1 & f2
-            if inter and not (f1 <= f2 or f2 <= f1):
-                raise InstanceFormatError(
-                    "family is not laminar: sets overlap without nesting (shared id %d)" % min(inter)
-                )
-        # duplicates: keep the first occurrence with the smallest cap
-        dedup = {}
-        for members, cap in raw:
-            if members in dedup and cap != dedup[members]:
-                warnings.append("duplicate laminar set collapsed to cap %d" % min(cap, dedup[members]))
-            dedup[members] = min(cap, dedup.get(members, cap))
-        # a nested set whose cap is not strictly below its ancestor's adds nothing
-        survivors = []
-        for members, cap in dedup.items():
-            redundant = any(
-                members < other and cap >= ocap for other, ocap in dedup.items() if other != members
-            )
-            if redundant:
-                warnings.append(
-                    "dropped redundant nested set (cap %d not below an enclosing cap)" % cap
-                )
-            else:
-                survivors.append((members, cap))
-        self._sets = tuple(survivors)
-        for members, cap in self._sets:
-            if cap == 0:
-                warnings.append("cap 0 strips %d element(s) from selection" % len(members))
-        self.warnings = tuple(warnings)
-        # forest structure: the parent is the smallest strict superset, since
-        # in a laminar family the strict supersets of a set form a chain
-        parent = [
-            min((j for j, (other, _) in enumerate(self._sets) if members < other),
-                key=lambda j: len(self._sets[j][0]), default=None)
-            for members, _ in self._sets
+            # a set is kept as its ground rows; duplicates keep the first occurrence with the smallest cap
+            old = family.get(rows.tobytes(), (rows, cap))[1]
+            if cap != old:
+                warnings.append("duplicate laminar set collapsed to cap %d" % min(cap, old))
+            family[rows.tobytes()] = rows, min(cap, old)
+        family = list(family.values())
+        # largest first, each set must lie inside one current label, its parent; a set whose cap is not
+        # strictly below its nearest kept ancestor's adds nothing, and keep[s] hands its ids to that ancestor
+        labels = np.full(len(ground_ids), UNLABELED)
+        parents, keep = [UNLABELED] * len(family), list(range(len(family)))
+        for s in sorted(range(len(family)), key=lambda s: -len(family[s][0])):
+            rows, cap = family[s]
+            up = labels[rows]
+            if (up != up[0]).any():
+                shared = ground_ids[_shared_row(family)]
+                raise InstanceFormatError("family is not laminar: sets overlap without nesting (shared id %d)" % shared)
+            parents[s] = keep[up[0]] if up[0] >= 0 else UNLABELED
+            if parents[s] >= 0 and cap >= family[parents[s]][1]:
+                keep[s] = parents[s]
+            labels[rows] = s
+        index = {s: i for i, s in enumerate(s for s, k in enumerate(keep) if k == s)}  # a kept set's new index
+        warnings += [
+            "dropped redundant nested set (cap %d not below an enclosing cap)" % cap
+            for s, (_, cap) in enumerate(family) if s not in index
         ]
-        self._children = tuple(
-            tuple(i for i, par in enumerate(parent) if par == j) for j in range(len(parent))
-        )
-        self._roots = tuple(i for i, par in enumerate(parent) if par is None)
-        self.free_ids = self.ground.difference(*(m for m, _ in self._sets))
-        self._rank = len(self.free_ids) + sum(self._contribution(i) for i in self._roots)
-
-    def _contribution(self, i):
-        """Max independent elements available inside set i (achievable)."""
-        members, cap = self._sets[i]
-        kids = self._children[i]
-        child_ids = frozenset().union(*(self._sets[j][0] for j in kids)) if kids else frozenset()
-        direct = len(members - child_ids)
-        return min(cap, direct + sum(self._contribution(j) for j in kids))
-
-    # ---- structural accessors used by the coreset recursion ----
-
-    @property
-    def sets(self):
-        """Surviving family as a tuple of (frozenset ids, cap)."""
-        return self._sets
-
-    @property
-    def roots(self):
-        return self._roots
-
-    def children_of(self, i):
-        return self._children[i]
-
-    def set_ids(self, i):
-        return self._sets[i][0]
-
-    def cap_of(self, i):
-        return self._sets[i][1]
-
-    @functools.cached_property
-    def member(self):
-        """(len(ground_ids), len(sets)) bool: member[i, j] says whether ground_ids[i] lies in set j."""
-        member = np.zeros((len(self.ground_ids), len(self._sets)), dtype=bool)
-        for j, (members, _) in enumerate(self._sets):
-            member[np.searchsorted(self.ground_ids, np.fromiter(members, np.int64, len(members))), j] = True
-        return member
-
-    @property
-    def rank(self):
-        return self._rank
+        family = [family[s] for s in index]
+        warnings += ["cap 0 strips %d element(s) from selection" % len(rows) for rows, cap in family if cap == 0]
+        labels = np.array([index[k] for k in keep] + [UNLABELED])[labels]  # UNLABELED's own entry keeps it
+        parents = np.array([index.get(parents[s], UNLABELED) for s in index], dtype=np.int64)
+        self._settle(ground_ids, labels, [cap for _, cap in family], parents, warnings)
 
     def __repr__(self):
-        return "LaminarConstraint(sets=%d, n=%d, rank=%d)" % (
-            len(self._sets),
-            len(self.ground),
-            self._rank,
-        )
+        return "LaminarConstraint(sets=%d, n=%d, rank=%d)" % (len(self.caps), len(self.ground_ids), self.rank)
 
 
-class PartitionConstraint:
+class PartitionConstraint(_LabelForest):
     """Per-group caps: at most caps[g] elements from group g.
 
     ``groups`` maps every ground id to its group label in 0..len(caps)-1;
-    :meth:`from_labels` takes the same as two parallel columns.  ``sets``
-    holds one (frozenset ids, cap) per group, as for a laminar family.
-    ``ground_ids`` holds the ground ids ascending and ``ground_labels`` their groups.
+    :meth:`from_labels` takes the same as two parallel columns.  Each group
+    is a root set of the label-column form, so ``ground_labels`` holds the
+    groups of ``ground_ids``.
     """
 
     kind = "partition"
@@ -183,7 +185,7 @@ class PartitionConstraint:
 
     @classmethod
     def from_labels(cls, caps, ids, labels):
-        """Build from ground ids and their group labels, checked a column at a time."""
+        """Build from distinct ground ids and their group labels, checked a column at a time."""
         caps = tuple(caps)
         if not caps:
             raise InstanceFormatError("partition needs at least one cap")
@@ -191,6 +193,10 @@ class PartitionConstraint:
             if not is_count(cap):
                 raise InstanceFormatError("partition caps must be non-negative ints, got %r" % (cap,))
         ids = check_ids(ids, "ground")
+        order = np.argsort(ids, kind="stable")
+        again = order[1:][ids[order[1:]] == ids[order[:-1]]]
+        if len(again):
+            raise InstanceFormatError("ground id %d appears twice" % ids[again.min()])
         lab, bad = int_column(labels, none_ok=True)
         if bad < len(ids):
             raise InstanceFormatError(
@@ -205,28 +211,15 @@ class PartitionConstraint:
                 "point %d has group %d but only %d caps were given" % (ids[bad], lab[bad], len(caps))
             )
         self = object.__new__(cls)
-        self.caps = caps
-        order = np.argsort(lab, kind="stable")
-        ends = np.searchsorted(lab[order], np.arange(len(caps) + 1))
-        self.sets = tuple(
-            (frozenset(ids[order[lo:hi]].tolist()), cap) for lo, hi, cap in zip(ends, ends[1:], caps)
-        )
-        self.ground = frozenset().union(*(part for part, _ in self.sets))  # shares the sets' int objects
-        order = np.argsort(ids, kind="stable")
-        self.ground_ids, self.ground_labels = ids[order], lab[order]
-        self.warnings = tuple(
-            "group %d has cap 0; its %d point(s) are unselectable" % (g, len(part))
-            for g, (part, cap) in enumerate(self.sets) if cap == 0 and part
-        )
-        self._rank = sum(min(cap, len(part)) for part, cap in self.sets)
+        sizes = np.bincount(lab, minlength=len(caps))
+        self._settle(ids[order], lab[order], caps, np.full(len(caps), UNLABELED), (
+            "group %d has cap 0; its %d point(s) are unselectable" % (g, size)
+            for g, (size, cap) in enumerate(zip(sizes.tolist(), caps)) if cap == 0 and size
+        ))
         return self
 
-    @property
-    def rank(self):
-        return self._rank
-
     def __repr__(self):
-        return "PartitionConstraint(caps=%r, n=%d)" % (list(self.caps), len(self.ground))
+        return "PartitionConstraint(caps=%r, n=%d)" % (list(self.caps), len(self.ground_ids))
 
 
 class CardinalityConstraint(PartitionConstraint):
@@ -235,19 +228,19 @@ class CardinalityConstraint(PartitionConstraint):
     kind = "cardinality"
 
     def __init__(self, k, ground):
-        ground = check_ids(ground, "ground")
+        ground = distinct_ids(check_ids(ground, "ground"))
         if not is_count(k, 1):
             raise InstanceFormatError("cardinality k must be a positive int, got %r" % (k,))
-        vars(self).update(vars(PartitionConstraint.from_labels((k,), ground, np.zeros(len(ground), np.int64))))
-        if k > len(self.ground):
-            raise InstanceFormatError("cardinality k=%d exceeds ground size %d" % (k, len(self.ground)))
+        if k > len(ground):
+            raise InstanceFormatError("cardinality k=%d exceeds ground size %d" % (k, len(ground)))
+        self._settle(ground, np.zeros(len(ground), np.int64), (k,), np.full(1, UNLABELED), ())
 
     @property
     def k(self):
         return self.caps[0]
 
     def __repr__(self):
-        return "CardinalityConstraint(k=%d, n=%d)" % (self.k, len(self.ground))
+        return "CardinalityConstraint(k=%d, n=%d)" % (self.k, len(self.ground_ids))
 
 
 def is_independent(constraint, S):
@@ -272,16 +265,18 @@ def ground_positions(constraint, ids):
 
 
 def membership(constraint, ids):
-    """``(member, caps)``: member[i, j] says whether ids[i] lies in set j of ``constraint.sets``, capped at caps[j].
+    """``(member, caps)``: member[i, j] says whether ids[i] lies in set j of the constraint, capped at caps[j].
 
     UnknownIdError names the smallest id of the int array ``ids`` outside the ground set.
-    A partition's rows are the one-hot of their labels; a laminar family's are read from ``member``.
+    Each row is set at its id's label and then at each set above it; a partition takes one step.
     """
     pos = ground_positions(constraint, ids)
-    caps = np.array([cap for _, cap in constraint.sets], dtype=np.int64)
-    if constraint.kind == "laminar":
-        return constraint.member[pos], caps
-    return constraint.ground_labels[pos, None] == np.arange(len(caps)), caps
+    member = np.zeros((len(pos), len(constraint.caps)), dtype=bool)
+    for up in _upward(constraint.parents, constraint.ground_labels[pos]):
+        rows = np.flatnonzero(up >= 0)
+        member[rows, up[rows]] = True
+    # a cap above the ground size binds nothing, and clipping it keeps any cap inside int64
+    return member, np.array([min(cap, len(constraint.ground_ids)) for cap in constraint.caps], dtype=np.int64)
 
 
 def enumerate_bases(constraint, points):
@@ -320,8 +315,8 @@ def _base_chunks(ids, k, member, caps):
 
 
 def cover_number(constraint):
-    """Max number of family sets any single element belongs to (>= 1)."""
-    return max(int(membership(constraint, constraint.ground_ids)[0].sum(1).max(initial=0)), 1)
+    """Max number of family sets any single element belongs to (>= 1): the longest chain of sets."""
+    return max(sum(1 for _ in _upward(constraint.parents, np.arange(len(constraint.caps)))), 1)
 
 
 def constraint_from_json(doc, points):

@@ -250,9 +250,9 @@ class TestLaminarCoreset:
         ps = _chain_points()
         c = _chain_constraint()
         cs = laminar_coreset(ps, ps.ids, c, 1.01)
-        root = c.roots[0] if c.cap_of(c.roots[0]) == 2 else c.roots[1]
+        root = c.roots[0] if c.caps[c.roots[0]] == 2 else c.roots[1]
         node = cs.structure["roots"][root]
-        assert node.cap == c.cap_of(root)
+        assert node.cap == c.caps[root]
         assert len(node.layers) <= node.cap
         # removed blocks swallow entire child family sets, so base
         # preservation can reason about elements outside V as well

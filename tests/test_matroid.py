@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import detmax.matroid as matroid
+from detmax.geometry import check_ids, is_count
 from detmax import (
     InstanceFormatError,
     CardinalityConstraint,
@@ -146,6 +147,12 @@ class TestPartition:
         c = PartitionConstraint((1, 1, 1), {0: 0, 1: 1})
         assert c.rank == 2
 
+    def test_cap_beyond_int64(self):
+        # a cap above the ground size binds nothing, however large
+        c = PartitionConstraint((10**20, 1), {0: 0, 1: 0, 2: 1})
+        assert c.rank == 3 and is_base(c, [0, 1, 2])
+        assert matroid.membership(c, np.array([0, 2]))[1].tolist() == [3, 1]
+
     def test_enumerate_bases_matches_filter(self):
         groups = {i: i % 2 for i in range(6)}
         c = PartitionConstraint((2, 1), groups)
@@ -241,7 +248,7 @@ class TestLaminar:
         assert len(roots) == 2
         big = next(i for i in roots if 2 in c.set_ids(i))
         assert set(c.children_of(big)) != set()
-        assert c.cap_of(big) == 2
+        assert c.caps[big] == 2
         assert 4 in c.free_ids
 
     def test_enumerate_bases(self):
@@ -349,3 +356,190 @@ class TestJsonRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(Exception):
             constraint_from_json({"type": "graphic"}, _points(3))
+
+
+class _ReferenceLaminar:
+    """The laminar constructor kept as frozensets, with pairwise overlap and redundancy scans.
+
+    ``LaminarConstraint`` must build the same family, forest, rank and
+    warnings, and raise the same errors, from the label column alone.
+    """
+
+    def __init__(self, sets, ground):
+        self.ground = frozenset(check_ids(ground, "ground").tolist())
+        warnings = []
+        raw = []
+        for entry in sets:
+            ids, cap = entry
+            members = frozenset(check_ids(ids, "laminar set").tolist())
+            if not members:
+                raise InstanceFormatError("laminar set must be nonempty")
+            stray = members - self.ground
+            if stray:
+                raise UnknownIdError("laminar set mentions unknown id %d" % min(stray))
+            if not is_count(cap):
+                raise InstanceFormatError("laminar cap must be a non-negative int, got %r" % (cap,))
+            raw.append((members, cap))
+        for (f1, _), (f2, _) in combinations(raw, 2):
+            inter = f1 & f2
+            if inter and not (f1 <= f2 or f2 <= f1):
+                raise InstanceFormatError(
+                    "family is not laminar: sets overlap without nesting (shared id %d)" % min(inter)
+                )
+        dedup = {}
+        for members, cap in raw:
+            if members in dedup and cap != dedup[members]:
+                warnings.append("duplicate laminar set collapsed to cap %d" % min(cap, dedup[members]))
+            dedup[members] = min(cap, dedup.get(members, cap))
+        survivors = []
+        for members, cap in dedup.items():
+            if any(members < other and cap >= ocap for other, ocap in dedup.items() if other != members):
+                warnings.append("dropped redundant nested set (cap %d not below an enclosing cap)" % cap)
+            else:
+                survivors.append((members, cap))
+        self.sets = tuple(survivors)
+        for members, cap in self.sets:
+            if cap == 0:
+                warnings.append("cap 0 strips %d element(s) from selection" % len(members))
+        self.warnings = tuple(warnings)
+        parent = [
+            min((j for j, (other, _) in enumerate(self.sets) if members < other),
+                key=lambda j: len(self.sets[j][0]), default=None)
+            for members, _ in self.sets
+        ]
+        self.children = tuple(tuple(i for i, par in enumerate(parent) if par == j) for j in range(len(parent)))
+        self.roots = tuple(i for i, par in enumerate(parent) if par is None)
+        self.free_ids = self.ground.difference(*(m for m, _ in self.sets))
+        self.rank = len(self.free_ids) + sum(self._contribution(i) for i in self.roots)
+
+    def _contribution(self, i):
+        members, cap = self.sets[i]
+        kids = self.children[i]
+        child_ids = frozenset().union(*(self.sets[j][0] for j in kids)) if kids else frozenset()
+        return min(cap, len(members - child_ids) + sum(self._contribution(j) for j in kids))
+
+    def __repr__(self):
+        return "LaminarConstraint(sets=%d, n=%d, rank=%d)" % (len(self.sets), len(self.ground), self.rank)
+
+
+def _random_family(rng):
+    """A random laminar family and ground, often made faulty: (sets, ground)."""
+    n = int(rng.integers(0, 14))
+    universe = rng.choice(60, size=n, replace=False) if rng.random() < 0.5 else np.arange(n)
+    sets = []
+
+    def split(ids):  # nested and disjoint sets: a random tree of random slices
+        if len(ids) and rng.random() < 0.8:
+            sets.append((ids, int(rng.integers(0, 4))))
+        cuts = np.sort(rng.integers(0, len(ids) + 1, int(rng.integers(0, 3))))
+        for part in np.split(ids, cuts):
+            if 0 < len(part) < len(ids) and rng.random() < 0.7:
+                split(part)
+
+    split(rng.permutation(universe))
+    for _ in range(int(rng.integers(0, 3))):  # duplicates, usually with another cap
+        if sets:
+            ids, cap = sets[int(rng.integers(len(sets)))]
+            sets.append((ids, cap if rng.random() < 0.3 else int(rng.integers(0, 4))))
+    if n and rng.random() < 0.25:  # an overlapping set
+        sets.append((rng.choice(universe, size=int(rng.integers(1, n + 1)), replace=False), 1))
+    order = rng.permutation(len(sets))
+    sets = [(list(map(int, sets[i][0])) * (1 + int(rng.random() < 0.1)), sets[i][1]) for i in order]
+    ground = [int(i) for i in rng.permutation(universe)]
+    if n and rng.random() < 0.3:  # repeated ground ids
+        ground += ground[: int(rng.integers(1, n + 1))]
+    fault = rng.random()
+    if fault < 0.04 and sets:
+        sets[0][0].append(99)  # a stray id
+    elif fault < 0.08 and sets:
+        sets[-1] = (sets[-1][0] + [[1.0, True, -2, "3"][int(rng.integers(4))]], sets[-1][1])
+    elif fault < 0.1:
+        ground.append([2.5, -1, None][int(rng.integers(3))])
+    elif fault < 0.12:
+        sets.append(([], 1))
+    elif fault < 0.14 and sets:
+        sets[0] = (sets[0][0], [True, -1, 1.5][int(rng.integers(3))])
+    return sets, ground
+
+
+def _laminar_outcome(build, sets, ground):
+    """What a constructor makes of a family: its shape, or the type and message of its error."""
+    try:
+        c = build(sets, ground)
+    except Exception as exc:
+        return type(exc), str(exc)
+    children = c.children if isinstance(c, _ReferenceLaminar) else tuple(map(c.children_of, range(len(c.caps))))
+    return c.sets, c.roots, children, c.free_ids, c.rank, c.warnings, repr(c)
+
+
+class TestAgainstReference:
+    def test_random_families(self):
+        rng = np.random.default_rng(20)
+        kinds = {"ok": 0, "error": 0, "warned": 0, "nested": 0}
+        for trial in range(2400):
+            sets, ground = _random_family(rng)
+            want = _laminar_outcome(_ReferenceLaminar, sets, ground)
+            assert _laminar_outcome(LaminarConstraint, sets, ground) == want, (trial, sets, ground)
+            if isinstance(want[0], type):
+                kinds["error"] += 1
+                continue
+            kinds["ok"] += 1
+            kinds["warned"] += bool(want[5])
+            kinds["nested"] += any(want[2])
+            c = LaminarConstraint(sets, ground)
+            assert [cap for _, cap in c.sets] == list(c.caps)
+            ids = np.unique([g for g in ground])
+            member, caps = matroid.membership(c, ids)
+            assert member.tolist() == [[int(i) in m for m, _ in want[0]] for i in ids]
+            assert cover_number(c) == max(member.sum(1).max(initial=0), 1)
+            assert constraint_to_json(c)["sets"] == [{"ids": sorted(m), "cap": cap} for m, cap in want[0]]
+        assert min(kinds.values()) > 200, kinds
+
+    def test_first_overlapping_pair_is_named(self):
+        # the pairs (1, 2) and (0, 3) both overlap; pairs run in input order,
+        # (0, 3) comes first and is named, though sets 1 and 2 come earlier
+        # and the largest set meets set 3 only
+        sets = [([0, 1], 1), ([10, 11, 12], 1), ([11, 12, 13, 14], 1), ([1, 2], 1)]
+        for build in (_ReferenceLaminar, LaminarConstraint):
+            with pytest.raises(InstanceFormatError, match=r"^family is not laminar: .* \(shared id 1\)$"):
+                build(sets, range(15))
+
+
+def _no_sets(value):
+    if isinstance(value, (set, frozenset)):
+        return False
+    if isinstance(value, (tuple, list)):
+        return all(map(_no_sets, value))
+    return True
+
+
+def test_constraints_store_no_sets():
+    built = [
+        CardinalityConstraint(2, [3, 1, 1, 2]),
+        PartitionConstraint((1, 2), {0: 0, 1: 1, 5: 1}),
+        PartitionConstraint.from_labels((1, 0), np.array([4, 2, 9]), np.array([1, 0, 0])),
+        LaminarConstraint([([0, 1], 1), ([0, 1, 2, 3], 2), ([0, 1], 3), ([5, 6], 1)], range(8)),
+    ]
+    for c in built:
+        c.sets, c.free_ids, c.roots, matroid.membership(c, c.ground_ids), cover_number(c)
+        assert [name for name, value in vars(c).items() if not _no_sets(value)] == [], c
+
+
+class TestRepeatedGroundIds:
+    def test_partition_from_labels_names_the_repeat(self):
+        with pytest.raises(InstanceFormatError, match="^ground id 1 appears twice$"):
+            PartitionConstraint.from_labels((1, 1), [1, 1], [0, 1])
+        # the first row that repeats an earlier id is named
+        with pytest.raises(InstanceFormatError, match="^ground id 3 appears twice$"):
+            PartitionConstraint.from_labels((1, 1), [7, 3, 3, 7], [0, 1, 0, 1])
+
+    def test_cardinality_collapses_repeats(self):
+        c = CardinalityConstraint(2, [5, 0, 5, 1])
+        assert (c.ground_ids.tolist(), c.rank, repr(c)) == ([0, 1, 5], 2, "CardinalityConstraint(k=2, n=3)")
+        with pytest.raises(InstanceFormatError, match="cardinality k=3 exceeds ground size 2"):
+            CardinalityConstraint(3, [0, 1, 1])
+
+    def test_laminar_collapses_repeats(self):
+        c = LaminarConstraint([([0, 1], 1)], [0, 0, 1, 2])
+        assert (c.ground_ids.tolist(), c.rank, repr(c)) == ([0, 1, 2], 2, "LaminarConstraint(sets=1, n=3, rank=2)")
+        assert matroid.membership(c, c.ground_ids)[0].tolist() == [[True], [True], [False]]
