@@ -7,9 +7,11 @@ only wall-clock column is ``seconds``.  Input errors exit 2 with an
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
+import traceback
 
 from .coreset import build_coreset, compose, coreset_from_json, coreset_ids_from_json, coreset_to_json
 from .errors import GuardExceededError, InstanceFormatError, PreconditionError, RejectionSamplingError, UnknownIdError
@@ -54,6 +56,28 @@ def _dump_csv(rows, fieldnames, path):
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _load_instance(path):
+    """The instance file at ``path`` as (points, constraint, meta), read with the cyclic collector off.
+
+    The parsed document holds containers per point, has no cycles and lives
+    only until its columns are built, so collections during the parse or the
+    build would walk it for nothing; collections put off until then would
+    walk it too if it were still alive.  So the collector is turned back on
+    (only if it was on) after refcounting has freed the document, on every
+    exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return load_instance(_load_json(path))
+    except Exception as exc:
+        traceback.clear_frames(exc.__traceback__)  # the frames of a failed build hold the document
+        raise
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _number_list(text, kind):
@@ -136,7 +160,7 @@ def _cmd_gen(args):
 
 
 def _cmd_coreset(args):
-    points, constraint, _ = load_instance(_load_json(args.instance))
+    points, constraint, _ = _load_instance(args.instance)
     cs = build_coreset(points, points.id_array, constraint, args.zeta)
     _dump_json(coreset_to_json(cs), args.out)
     for w in cs.warnings:
@@ -145,7 +169,7 @@ def _cmd_coreset(args):
 
 
 def _cmd_solve(args):
-    points, constraint, _ = load_instance(_load_json(args.instance))
+    points, constraint, _ = _load_instance(args.instance)
     if args.coreset:
         ids = coreset_ids_from_json(_load_json(args.coreset))
     else:
@@ -162,7 +186,7 @@ def _cmd_compose(args):
 
 
 def _cmd_run(args):
-    points, constraint, _ = load_instance(_load_json(args.instance))
+    points, constraint, _ = _load_instance(args.instance)
     report = run_distributed(
         points,
         constraint,

@@ -128,6 +128,7 @@ class LaminarNodeCoreset:
 class CoresetResult:
     """A finished coreset: the ids, the layers, and for a laminar family the tree that replays exchanges.
 
+    ``source_array`` is the working set, a read-only ascending int64 array.
     ``layers`` holds every local-search layer in construction order, each a
     sorted id tuple.  ``structure`` is empty for partition, composed and
     read-back results.
@@ -136,13 +137,21 @@ class CoresetResult:
     ids: frozenset
     kind: str
     regime: str
-    source: tuple
+    source_array: np.ndarray
     ell: int
     zeta: float
     declared_bound: int
     layers: tuple
     structure: dict
     warnings: tuple = ()
+
+    def __post_init__(self):
+        self.source_array.setflags(write=False)
+
+    @functools.cached_property
+    def source(self):
+        """The working set as a tuple of ints, ascending, built on first read."""
+        return tuple(self.source_array.tolist())
 
     @property
     def approx_log_factor(self):
@@ -190,7 +199,7 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         ids=chosen,
         kind=constraint.kind,
         regime=regime,
-        source=tuple(ids.tolist()),
+        source_array=ids,
         ell=ell,
         zeta=zeta,
         declared_bound=bound,
@@ -280,7 +289,7 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         ids=chosen,
         kind="laminar",
         regime=regime,
-        source=tuple(ids.tolist()),
+        source_array=ids,
         ell=ell,
         zeta=zeta,
         declared_bound=bound,
@@ -315,8 +324,7 @@ def compose(coresets):
     for cs in parts:
         if (cs.ell, cs.zeta, cs.kind, cs.regime) != (first.ell, first.zeta, first.kind, first.regime):
             raise PreconditionError("compose: coresets disagree on (ell, zeta, kind, regime)")
-    source = np.concatenate([np.fromiter(cs.source, np.int64, len(cs.source)) for cs in parts])
-    source.sort()
+    source = np.sort(np.concatenate([cs.source_array for cs in parts]))
     shared = source[1:][source[1:] == source[:-1]]
     if len(shared):
         raise PreconditionError("compose: working sets overlap (id %d appears twice)" % shared[0])
@@ -325,7 +333,7 @@ def compose(coresets):
         ids=ids,
         kind="composed",
         regime=first.regime,
-        source=tuple(source.tolist()),
+        source_array=source,
         ell=first.ell,
         zeta=first.zeta,
         declared_bound=sum(cs.declared_bound for cs in parts),
@@ -441,7 +449,7 @@ def coreset_to_json(result):
         "declared_bound": result.declared_bound,
         "zeta": result.zeta,
         "ell": result.ell,
-        "source": sorted(result.source),
+        "source": result.source_array.tolist(),
     }
 
 
@@ -484,7 +492,7 @@ def coreset_from_json(doc):
         ids=ids,
         kind=doc["kind"],
         regime=doc["regime"],
-        source=tuple(sorted(doc["source"])),
+        source_array=np.sort(int_column(doc["source"])[0]),
         ell=doc["ell"],
         zeta=doc["zeta"],
         declared_bound=doc["declared_bound"],

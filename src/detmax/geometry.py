@@ -19,6 +19,8 @@ with; otherwise it is rounding on a singular matrix and counts as zero.
 
 import functools
 import numbers
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,18 +58,26 @@ def int_column(values, none_ok=False):
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         col = values.astype(np.int64)
-        bad = col < (UNLABELED if none_ok else 0)
-    else:
-        n = len(values)
-        obj = np.fromiter(values, dtype=object, count=n)
-        kinds = np.fromiter(map(type, values), dtype=object, count=n)
-        isint = np.isin(kinds, [t for t in set(kinds) if issubclass(t, (int, np.integer)) and t is not bool])
-        isnone = (kinds == type(None)) & none_ok
-        obj[~isint] = 0
-        bad = ~(isint | isnone) | (obj < 0) | (obj > np.iinfo(np.int64).max)
-        obj[bad] = 0
-        col = obj.astype(np.int64)
-        col[isnone] = UNLABELED
+        return col, first_true(col < (UNLABELED if none_ok else 0))
+    n = len(values)
+    if set(map(type, values)) <= {int}:  # plain ints, the common case, skip the object arrays
+        try:
+            col = np.fromiter(values, np.int64, n)
+        except OverflowError:  # beyond int64: the masked pass names it
+            pass
+        else:
+            bad = col < 0
+            col[bad] = 0
+            return col, first_true(bad)
+    obj = np.fromiter(values, dtype=object, count=n)
+    kinds = np.fromiter(map(type, values), dtype=object, count=n)
+    isint = np.isin(kinds, [t for t in set(kinds) if issubclass(t, (int, np.integer)) and t is not bool])
+    isnone = (kinds == type(None)) & none_ok
+    obj[~isint] = 0
+    bad = ~(isint | isnone) | (obj < 0) | (obj > np.iinfo(np.int64).max)
+    obj[bad] = 0
+    col = obj.astype(np.int64)
+    col[isnone] = UNLABELED
     return col, first_true(bad)
 
 
@@ -259,7 +269,8 @@ def load_pointset(doc):
     if not isinstance(points, list):
         raise InstanceFormatError("'points' must be a list")
     try:
-        columns = [p["id"] for p in points], [p["coords"] for p in points], [p.get("group") for p in points]
+        columns = (list(map(itemgetter("id"), points)), list(map(itemgetter("coords"), points)),
+                   list(map(dict.get, points, repeat("group"))))
     except (TypeError, KeyError, AttributeError):
         entry = next(p for p in points if not isinstance(p, dict) or "id" not in p or "coords" not in p)
         raise InstanceFormatError("each point needs 'id' and 'coords', got %r" % (entry,)) from None

@@ -21,6 +21,7 @@ from detmax import (
     mu,
     random_instance,
 )
+from detmax.geometry import UNLABELED, first_true, int_column
 
 
 class TestRandomInstance:
@@ -230,7 +231,8 @@ _OK = ((0, [1.0, 0.0], 0), (7, [0.0, 1.0], 1))
 _PART = {"type": "partition", "caps": [1, 1]}
 
 
-@pytest.mark.parametrize("doc, message", [
+# each malformed document and the message that names its first fault
+_error_cases = pytest.mark.parametrize("doc, message", [
     (_doc(_OK[0], ("5", [1.0, 1.0], 0), _OK[1]), "point id must be a non-negative int, got '5'"),
     (_doc(_OK[0], (True, [1.0, 1.0], 0), _OK[1]), "point id must be a non-negative int, got True"),
     (_doc(_OK[0], (-3, [1.0, 1.0], 0), _OK[1]), "point id must be a non-negative int, got -3"),
@@ -255,8 +257,54 @@ _PART = {"type": "partition", "caps": [1, 1]}
         "str-group", "negative-group", "no-group", "group-without-cap", "dim-0",
         "first-point-wins", "coords-before-later-id", "coords-before-group",
         "duplicate-before-coords"])
+
+
+@_error_cases
 def test_load_instance_error_messages(doc, message):
     with pytest.raises(InstanceFormatError) as exc:
         load_instance(doc)
     assert str(exc.value) == message
+
+
+def _masked_int_column(values, none_ok=False):
+    """int_column's list path with one object-array pass over every entry, the reference for its faster route."""
+    n = len(values)
+    obj = np.fromiter(values, dtype=object, count=n)
+    kinds = np.fromiter(map(type, values), dtype=object, count=n)
+    isint = np.isin(kinds, [t for t in set(kinds) if issubclass(t, (int, np.integer)) and t is not bool])
+    isnone = (kinds == type(None)) & none_ok
+    obj[~isint] = 0
+    bad = ~(isint | isnone) | (obj < 0) | (obj > np.iinfo(np.int64).max)
+    obj[bad] = 0
+    col = obj.astype(np.int64)
+    col[isnone] = UNLABELED
+    return col, first_true(bad)
+
+
+def _same_column(values, none_ok):
+    (col, stop), (want, want_stop) = int_column(values, none_ok), _masked_int_column(values, none_ok)
+    return col.dtype == np.int64 and np.array_equal(col, want) and stop == want_stop
+
+
+# plain ints (the fast route, which -1 and 2**63 must leave as the reference does) and everything else
+_PLAIN = [0, 1, 7, 2**40, 2**63 - 1, -1, 2**63]
+_MIXED = _PLAIN + [True, False, None, np.int64(3), np.int64(-2), 1.0, "5", "a"]
+
+
+@pytest.mark.parametrize("pool", [_PLAIN, _MIXED], ids=["plain", "mixed"])
+@pytest.mark.parametrize("none_ok", [False, True])
+def test_int_column_matches_masked_reference(pool, none_ok):
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        values = [pool[i] for i in rng.integers(len(pool), size=rng.integers(13))]
+        if rng.random() < 0.5:  # good but for the last entry, so a late fault is named too
+            values = rng.integers(8, size=len(values[:-1])).tolist() + values[-1:]
+        assert _same_column(values, none_ok), values
+        assert _same_column(tuple(values), none_ok), values
+
+
+@_error_cases
+def test_int_column_matches_masked_reference_on_error_cases(doc, message):
+    for key, none_ok in (("id", False), ("group", True)):
+        assert _same_column([p[key] for p in doc["points"]], none_ok)
 
