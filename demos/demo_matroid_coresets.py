@@ -61,7 +61,7 @@ lam = LaminarConstraint(family, list(range(m)))
 cs2 = build_coreset(pts2, pts2.ids, lam, zeta=1.01)
 print("\nlaminar coreset: %d of %d points (bound %d, cover number 2)"
       % (len(cs2.ids), m, cs2.declared_bound))
-print("kept per root:", {r: sorted(node.collect_ids())
+print("kept per root:", {r: sorted(node.set_ids & cs2.ids)
                          for r, node in cs2.structure["roots"].items()})
 print("free ids kept verbatim:", cs2.structure["free"])
 

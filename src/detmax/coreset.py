@@ -20,8 +20,9 @@ constraint shapes are covered:
   (threshold 1, a single local optimum, when k <= d).  A cardinality
   constraint is the partition of one group with cap k.
 * laminar: the same peeling of each maximal family set, where a layer also
-  takes every child set it touches out of the working set, then a descent
-  into each touched child set.
+  takes every child set it touches out of the working set; each touched
+  child set is then peeled the same way, off a work stack in pre-order, so
+  the depth of the family does not meet the recursion limit.
 
 Coreset sizes are checked at construction and a violation raises
 InvariantError: s*k in the low-rank regime, k*ell for partitions in the
@@ -38,7 +39,7 @@ from .errors import InvariantError, PreconditionError
 from .geometry import distinct_ids, int_column, is_count
 from .localsearch import DEFAULT_ZETA, check_search, search
 from .localsearch import local_opt  # noqa: F401  bench/layers.py wraps coreset.local_opt; drop both together
-from .matroid import ground_positions, membership
+from .matroid import cover_number, ground_positions, membership
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde, regime_of
 
 
@@ -98,7 +99,7 @@ def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
 
 @dataclass(frozen=True)
 class LaminarNodeCoreset:
-    """Coreset of one family set: peeled layers plus recursed child nodes.
+    """Coreset of one family set: peeled layers plus the nodes of the child sets they touched.
 
     ``removed`` holds, per layer, the full id-set deleted from the working
     set after that layer: the layer's own loose elements plus every child
@@ -112,16 +113,6 @@ class LaminarNodeCoreset:
     layers: tuple
     removed: tuple
     children: tuple
-
-    def layer_ids(self):
-        """Layer id tuples of this node, then of each child subtree in order."""
-        out = [layer.ids for layer in self.layers]
-        for child in self.children:
-            out.extend(child.layer_ids())
-        return out
-
-    def collect_ids(self):
-        return set().union(*self.layer_ids())
 
 
 @dataclass(frozen=True)
@@ -212,56 +203,17 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     )
 
 
-def _cover_depth(constraint, i):
-    kids = constraint.children_of(i)
-    return 1 + (max(_cover_depth(constraint, j) for j in kids) if kids else 0)
-
-
-def _laminar_node(points, ids, member, constraint, set_ids, i, ell, zeta, warnings, path):
-    """Peel family set i's share of the ascending ``ids`` (``member``: their membership rows; ``set_ids``: a set's ids).
-
-    Each child set a layer touches is recursed into at its first encounter, so warnings keep construction order.
-    """
-    inside = member[:, i]
-    ids, member = ids[inside], member[inside]
-    kids = np.array(constraint.children_of(i), dtype=np.int64)
-    child = member[:, kids] @ (kids + 1) - 1  # the children are disjoint
-    cap = constraint.caps[i]
-    if cap:  # only a search needs ell >= 1 and the rows; rank 0 gives ell 0
-        check_search(points.dim, ell, zeta)
-    layers = _peel(ids, points.rows(ids) if cap else None, cap, ell, zeta, child)
-    removed, children = [], {}
-    for layer_no, layer in enumerate(layers):
-        if layer.degenerate:
-            warnings.append("%s layer %d is degenerate" % (path, layer_no))
-        block = set()
-        for pid, j in zip(layer.ids, child[np.searchsorted(ids, layer.ids)].tolist()):
-            block |= {pid} if j < 0 else set_ids(j)
-            if j >= 0 and j not in children:
-                children[j] = _laminar_node(
-                    points, ids, member, constraint, set_ids, j, ell, zeta, warnings, "%s/set%d" % (path, j)
-                )
-        removed.append(frozenset(block))
-    node = LaminarNodeCoreset(
-        set_ids=set_ids(i),
-        cap=cap,
-        layers=layers,
-        removed=tuple(removed),
-        children=tuple(children[j] for j in sorted(children)),
-    )
-    if len(node.collect_ids()) > (cap * ell) ** _cover_depth(constraint, i):
-        raise InvariantError("laminar node size bound violated")
-    return node
-
-
 def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
-    """Coreset for a laminar constraint: peel each maximal set, recurse inward.
+    """Coreset for a laminar constraint: peel each maximal set, then each child set a layer touches.
 
     Each family set is peeled by :func:`_peel`, as a partition group is, with
     its cap as threshold; a layer also takes out every child set it touches.
-    Elements of V outside every family set are always selectable and kept
-    verbatim.  Layers have size ell from :func:`regime_of`, and the total
-    size is checked against (k*ell)**r, k the rank and r the cover number.
+    A work stack peels each such child right after the layer that first
+    touches it, so warnings keep construction order, and the nodes are then
+    assembled bottom-up, each checked against (cap*ell)**depth.  Elements of
+    V outside every family set are always selectable and kept verbatim.
+    Layers have size ell from :func:`regime_of`, and the total size is
+    checked against (k*ell)**r, k the rank and r the cover number.
     """
     if constraint.kind != "laminar":
         raise PreconditionError("laminar_coreset needs a laminar constraint")
@@ -270,19 +222,46 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     ids = distinct_ids(V)
     member, _ = membership(constraint, ids)
     set_ids = functools.cache(constraint.set_ids)  # each set's frozenset is built once per coreset
-    warnings = []
-    roots = {
-        i: _laminar_node(points, ids, member, constraint, set_ids, i, ell, zeta, warnings, "set%d" % i)
-        for i in constraint.roots if member[:, i].any()
-    }
+    warnings, peeled = [], {}  # peeled[i]: set i's layers, removed blocks and the children they touch
+    todo = [(i, "set%d" % i) for i in constraint.roots[::-1] if member[:, i].any()]  # sets to peel and warnings
+    while todo:
+        entry = todo.pop()
+        if isinstance(entry, str):
+            warnings.append(entry)
+            continue
+        i, path = entry
+        inside = member[:, i]
+        sub = ids[inside]
+        kids = np.array(constraint.children_of(i), dtype=np.int64)
+        child = member[:, kids][inside] @ (kids + 1) - 1  # the children are disjoint
+        cap = constraint.caps[i]
+        if cap:  # only a search needs ell >= 1 and the rows; rank 0 gives ell 0
+            check_search(points.dim, ell, zeta)
+        layers = _peel(sub, points.rows(sub) if cap else None, cap, ell, zeta, child)
+        removed, met, then = [], [], []
+        for layer_no, layer in enumerate(layers):
+            if layer.degenerate:
+                then.append("%s layer %d is degenerate" % (path, layer_no))
+            block = set()
+            for pid, j in zip(layer.ids, child[np.searchsorted(sub, layer.ids)].tolist()):
+                block |= {pid} if j < 0 else set_ids(j)
+                if j >= 0 and j not in met:
+                    met.append(j)
+                    then.append((j, "%s/set%d" % (path, j)))
+            removed.append(frozenset(block))
+        peeled[i] = layers, tuple(removed), sorted(met)
+        todo += reversed(then)
+    nodes, kept = {}, {}  # kept[i]: the layer ids of set i's subtree, until its parent takes them
+    for i, (layers, removed, met) in reversed(peeled.items()):
+        nodes[i] = LaminarNodeCoreset(set_ids(i), constraint.caps[i], layers, removed, tuple(nodes[j] for j in met))
+        kept[i] = set().union(*(layer.ids for layer in layers), *(kept.pop(j) for j in met))
+        if len(kept[i]) > (constraint.caps[i] * ell) ** constraint.depth[i]:
+            raise InvariantError("laminar node size bound violated")
     free = ids[~member.any(1)].tolist()
-    chosen = frozenset(free).union(*(node.collect_ids() for node in roots.values()))
-    depth = max((_cover_depth(constraint, i) for i in constraint.roots), default=1)
-    bound = (k * ell) ** depth
+    chosen = frozenset(free).union(*kept.values())
+    bound = (k * ell) ** cover_number(constraint)
     # the per-node checks carry the real bound; this one catches accounting bugs
-    node_sum = len(free) + sum(
-        (constraint.caps[i] * ell) ** _cover_depth(constraint, i) for i in constraint.roots
-    )
+    node_sum = len(free) + sum((constraint.caps[i] * ell) ** constraint.depth[i] for i in constraint.roots)
     if len(chosen) > max(bound, node_sum):
         raise InvariantError("laminar coreset size bound violated")
     return CoresetResult(
@@ -293,8 +272,8 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         ell=ell,
         zeta=zeta,
         declared_bound=bound,
-        layers=tuple(layer for root in sorted(roots) for layer in roots[root].layer_ids()),
-        structure={"roots": roots, "free": tuple(free)},
+        layers=tuple(layer.ids for i in constraint.order if i in nodes for layer in nodes[i].layers),
+        structure={"roots": {i: nodes[i] for i in constraint.roots if i in nodes}, "free": tuple(free)},
         warnings=tuple(warnings),
     )
 
@@ -302,7 +281,7 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
 def build_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     """Construct the coreset matching the constraint kind.
 
-    A laminar family recurses through :func:`laminar_coreset`; partition
+    A laminar family is peeled set by set by :func:`laminar_coreset`; partition
     and cardinality constraints are peeled per group by
     :func:`partition_coreset`.  Rank and dimension fix ell and the regime.
     """

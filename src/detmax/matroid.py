@@ -5,10 +5,14 @@ ascending, and ``ground_labels`` the smallest family set holding each, or
 UNLABELED for an id in no set.  ``caps`` holds one cap per set and
 ``parents`` each set's parent, -1 for a root.  A partition is the depth-one
 case, a cardinality constraint its one-group case.  Each kind keeps its own
-constructor and checks; rank, the forest accessors, the frozenset views
-``sets``, ``set_ids`` and ``free_ids``, :func:`membership` (the one (ids,
-sets) matrix every cap query reads) and :func:`cover_number` are read from
-the labels and the parents.  :func:`ground_positions` is the one ground lookup.
+constructor and checks, then walks the forest once, without recursion, into
+``order``: the sets top-down in pre-order, roots and children ascending.
+Read bottom-up, the order gives the rank and ``depth`` (set i and the
+longest chain of sets inside it), whose maximum is :func:`cover_number`.
+The frozenset views ``sets``, ``set_ids`` and ``free_ids`` and
+:func:`membership` (the one (ids, sets) matrix every cap query reads) are
+read from the labels, the parents and the order.  :func:`ground_positions`
+is the one ground lookup.
 
 Rank is the achievable one: the size of a maximum independent subset of the
 ground set, the sum of the caps when every group has at least its cap.
@@ -48,45 +52,43 @@ def oracle_cap():
     return cap
 
 
-def _upward(parents, sets):
-    """Yield ``sets`` (an int array), their parents, grandparents, ... (UNLABELED above a root) while any is a set."""
-    above = np.append(parents, UNLABELED)  # UNLABELED's own entry keeps it UNLABELED
-    while (sets >= 0).any():
-        yield sets
-        sets = above[sets]
-
-
 class _LabelForest:
     """The array form every constraint kind is stored in (see the module docstring)."""
 
     def _settle(self, ground_ids, ground_labels, caps, parents, warnings):
-        """Store the form and compute the rank bottom-up from the count of ids labelled with each set."""
+        """Store the form, order the sets top-down in pre-order, and fill the rank and ``depth`` bottom-up."""
         self.ground_ids, self.ground_labels = ground_ids, ground_labels
         self.caps, self.parents, self.warnings = tuple(caps), parents, tuple(warnings)
-        direct = np.bincount(ground_labels[ground_labels >= 0], minlength=len(caps)).tolist()
-        kids = [[] for _ in caps]
-        for i, p in enumerate(parents.tolist()):
-            if p >= 0:
-                kids[p].append(i)
-
-        def avail(i):  # the most ids selectable inside set i
-            return min(self.caps[i], direct[i] + sum(map(avail, kids[i])))
-
-        self.rank = int(np.count_nonzero(ground_labels == UNLABELED)) + sum(map(avail, self.roots))
-
-    @property
-    def roots(self):
-        return tuple(np.flatnonzero(self.parents < 0).tolist())
+        up = parents.tolist()
+        kids = [[] for _ in range(len(caps) + 1)]  # the last entry, UNLABELED's, lists the roots
+        for i, p in enumerate(up):
+            kids[p].append(i)
+        order, stack = [], kids[-1][::-1]
+        while stack:
+            order.append(stack.pop())
+            stack += kids[order[-1]][::-1]
+        # avail[i]: the most ids selectable inside set i; UNLABELED's entry sums the free ids and the roots
+        avail = np.bincount(ground_labels[ground_labels >= 0], minlength=len(caps)).tolist()
+        avail.append(len(ground_labels) - sum(avail))
+        depth = [1] * (len(caps) + 1)
+        for i in reversed(order):
+            avail[i] = min(self.caps[i], avail[i])
+            avail[up[i]] += avail[i]
+            depth[up[i]] = max(depth[up[i]], depth[i] + 1)
+        self.roots, self.order, self.depth, self.rank = tuple(kids[-1]), tuple(order), tuple(depth[:-1]), avail[-1]
 
     def children_of(self, i):
         return tuple(np.flatnonzero(self.parents == i).tolist())
 
     def set_ids(self, i):
         """The ids of set i, a frozenset built on each call: those labelled i or a set below it."""
-        inside = np.zeros(len(self.caps) + 1, dtype=bool)  # the last entry answers for UNLABELED
-        for up in _upward(self.parents, np.arange(len(self.caps))):
-            inside[:-1] |= up == i
-        return frozenset(self.ground_ids[inside[self.ground_labels]].tolist())
+        mark = np.zeros(len(self.caps) + 1, dtype=bool)  # the last entry answers for a root's parent
+        mark[i] = True
+        for j in self.order[self.order.index(i) + 1:]:  # the sets below i follow it, up to one whose parent is unmarked
+            if not mark[self.parents[j]]:
+                break
+            mark[j] = True
+        return frozenset(self.ground_ids[mark[self.ground_labels]].tolist())
 
     @property
     def sets(self):
@@ -272,9 +274,12 @@ def membership(constraint, ids):
     """
     pos = ground_positions(constraint, ids)
     member = np.zeros((len(pos), len(constraint.caps)), dtype=bool)
-    for up in _upward(constraint.parents, constraint.ground_labels[pos]):
+    above = np.append(constraint.parents, UNLABELED)  # UNLABELED's own entry keeps it UNLABELED
+    up = constraint.ground_labels[pos]
+    while (up >= 0).any():
         rows = np.flatnonzero(up >= 0)
         member[rows, up[rows]] = True
+        up = above[up]
     # a cap above the ground size binds nothing, and clipping it keeps any cap inside int64
     return member, np.array([min(cap, len(constraint.ground_ids)) for cap in constraint.caps], dtype=np.int64)
 
@@ -316,7 +321,7 @@ def _base_chunks(ids, k, member, caps):
 
 def cover_number(constraint):
     """Max number of family sets any single element belongs to (>= 1): the longest chain of sets."""
-    return max(sum(1 for _ in _upward(constraint.parents, np.arange(len(constraint.caps)))), 1)
+    return max(constraint.depth, default=1)
 
 
 def constraint_from_json(doc, points):

@@ -419,9 +419,18 @@ SUITES = {
 
 
 def run_suites(name="all", seed=0):
-    """Run one named property body, or all of them; returns (name, ok, detail) triples."""
+    """Run one named property body, or all of them; returns (name, ok, detail) triples.
+
+    A body that raises fails its suite, with the exception's type and message as the detail.
+    """
     if not is_count(seed):
         raise PreconditionError("seed must be a non-negative int, got %r" % (seed,))
     if name != "all" and name not in SUITES:
         raise PreconditionError("unknown suite %r (have: %s)" % (name, ", ".join(SUITES)))
-    return [(suite, *SUITES[suite](seed)) for suite in (SUITES if name == "all" else [name])]
+    results = []
+    for suite in SUITES if name == "all" else [name]:
+        try:
+            results.append((suite, *SUITES[suite](seed)))
+        except Exception as exc:
+            results.append((suite, False, "raised %s: %s" % (type(exc).__name__, exc)))
+    return results

@@ -5,9 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import detmax.coreset as coreset
 import detmax.matroid as matroid
+from detmax.geometry import distinct_ids
+from detmax.localsearch import check_search
 from detmax import (
     CardinalityConstraint,
+    DEFAULT_ZETA,
     LaminarConstraint,
     PartitionConstraint,
     PointSet,
@@ -18,6 +22,7 @@ from detmax import (
     WeightProfile,
     build_coreset,
     compose,
+    cover_number,
     coreset_from_json,
     coreset_ids_from_json,
     coreset_to_json,
@@ -29,6 +34,7 @@ from detmax import (
     laminar_coreset,
     mu_tilde,
     partition_coreset,
+    regime_of,
     peeling_coreset,
     verify_local_opt,
 )
@@ -385,6 +391,141 @@ class TestLaminarRecursion:
         ps = _rand_ps(5, 3, 2)
         cs = laminar_coreset(ps, range(6), LaminarConstraint([([0, 1], 1), ([3, 4], 0)], range(6)))
         assert sorted(cs.ids) == [0, 1, 2, 5] and cs.structure["free"] == (2, 5)
+
+
+def test_deep_chain_builds_within_bounds():
+    # each of the 1,000 levels is peeled off a work stack, not a call frame
+    ps = _rand_ps(7, 1000, 4)
+    c = LaminarConstraint([(range(i + 1), i + 1) for i in range(1000)], range(1000))
+    cs = build_coreset(ps, ps.ids, c)
+    assert len(cs.ids) <= cs.declared_bound == (c.rank * 4) ** 1000
+    todo, nodes, layers = list(cs.structure["roots"].values()), 0, 0
+    while todo:
+        node = todo.pop()
+        ids = [pid for layer in node.layers for pid in layer.ids]
+        assert len(set(ids)) == len(ids) <= node.cap * 4 and set(ids) <= node.set_ids
+        todo += node.children
+        nodes, layers = nodes + 1, layers + len(node.layers)
+    assert nodes == 1000 and layers == len(cs.layers)
+
+
+# the recursive construction the work stack replaced, kept as a reference
+
+
+def _ref_cover_depth(c, i):
+    kids = c.children_of(i)
+    return 1 + (max(_ref_cover_depth(c, j) for j in kids) if kids else 0)
+
+
+def _ref_node(points, ids, member, c, i, ell, zeta, warnings, path):
+    """Set i's node, built recursively: (its shape as ``_node_shape`` gives it, its subtree's layers)."""
+    inside = member[:, i]
+    ids, member = ids[inside], member[inside]
+    kids = np.array(c.children_of(i), dtype=np.int64)
+    child = member[:, kids] @ (kids + 1) - 1
+    cap = c.caps[i]
+    if cap:
+        check_search(points.dim, ell, zeta)
+    layers = coreset._peel(ids, points.rows(ids) if cap else None, cap, ell, zeta, child)
+    removed, children = [], {}
+    for layer_no, layer in enumerate(layers):
+        if layer.degenerate:
+            warnings.append("%s layer %d is degenerate" % (path, layer_no))
+        block = set()
+        for pid, j in zip(layer.ids, child[np.searchsorted(ids, layer.ids)].tolist()):
+            block |= {pid} if j < 0 else c.set_ids(j)
+            if j >= 0 and j not in children:
+                children[j] = _ref_node(points, ids, member, c, j, ell, zeta, warnings, "%s/set%d" % (path, j))
+        removed.append(sorted(block))
+    subs = [children[j] for j in sorted(children)]
+    flat = [layer.ids for layer in layers] + [ids for _, sub in subs for ids in sub]
+    assert len(set().union(*flat)) <= (cap * ell) ** _ref_cover_depth(c, i)
+    return (sorted(c.set_ids(i)), [(layer.ids, layer.degenerate) for layer in layers], removed,
+            [shape for shape, _ in subs]), flat
+
+
+def _ref_laminar(points, V, c):
+    ell = regime_of(c.rank, points.dim)[1]
+    ids = distinct_ids(V)
+    member, _ = matroid.membership(c, ids)
+    warnings = []
+    roots = {
+        i: _ref_node(points, ids, member, c, i, ell, DEFAULT_ZETA, warnings, "set%d" % i)
+        for i in c.roots if member[:, i].any()
+    }
+    free = ids[~member.any(1)].tolist()
+    return (
+        sorted(set(free).union(*(ids for _, flat in roots.values() for ids in flat))),
+        tuple(ids for i in sorted(roots) for ids in roots[i][1]),
+        tuple(warnings),
+        (c.rank * ell) ** max((_ref_cover_depth(c, i) for i in c.roots), default=1),
+        tuple(free),
+        [(i, shape) for i, (shape, _) in roots.items()],
+    )
+
+
+def _random_laminar_case(rng):
+    """A seeded laminar family up to six deep, its points and a working set: (points, V, sets, ground)."""
+    n = int(rng.integers(1, 16))
+    ground = rng.choice(40, size=n, replace=False) if rng.random() < 0.5 else np.arange(n)  # sparse ids or not
+    sets = []
+
+    def split(ids, level):  # a random tree of slices; caps 0..3 make some sets redundant
+        if rng.random() < 0.85:
+            sets.append((ids.tolist(), int(rng.integers(0, 4))))
+        if level < 5 and len(ids) > 1:
+            for part in np.split(ids, np.sort(rng.integers(1, len(ids), int(rng.integers(1, 3))))):
+                if len(part) and rng.random() < 0.8:
+                    split(part, level + 1)
+
+    split(rng.permutation(ground), 0)
+    sets = [sets[i] for i in rng.permutation(len(sets))]
+    d = int(rng.integers(1, 4))
+    ids = np.sort(ground).tolist()
+    if rng.random() < 0.3:  # one line through the origin: every layer of two or more points is degenerate
+        coords = [[float(rng.integers(1, 5)) * (j + 1) for j in range(d)] for _ in ids]
+    else:
+        coords = rng.integers(-1, 2, size=(n, d)).astype(float).tolist()
+    V = rng.permutation(ground).tolist()
+    if rng.random() < 0.5:  # a part of the ground
+        V = V[: int(rng.integers(0, n + 1))]
+    fault = rng.random()
+    if fault < 0.05:
+        V.append(99)  # an id outside the ground
+    elif fault < 0.1:
+        ids, coords = ids[1:], coords[1:]  # a ground id without a point
+    return PointSet(d, list(zip(ids, coords, [None] * len(ids)))), V, sets, ground
+
+
+def _built(points, V, c):
+    cs = build_coreset(points, V, c)
+    return (sorted(cs.ids), cs.layers, cs.warnings, cs.declared_bound, cs.structure["free"],
+            [(i, _node_shape(node)) for i, node in cs.structure["roots"].items()])
+
+
+def _laminar_result(build, points, V, c):
+    """What ``build`` makes of a case: its ids, layers, warnings, bound, free ids and node shapes, or its error."""
+    try:
+        return build(points, V, c)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_laminar_coreset_against_reference():
+    rng = np.random.default_rng(21)
+    seen = {"cover": set(), "cap 0": 0, "redundant": 0, "partial V": 0, "degenerate": 0, "error": 0}
+    for trial in range(400):
+        ps, V, sets, ground = _random_laminar_case(rng)
+        c = LaminarConstraint(sets, ground)
+        want = _laminar_result(_ref_laminar, ps, V, c)
+        assert _laminar_result(_built, ps, V, c) == want, (trial, sets, V)
+        seen["cover"].add(cover_number(c))
+        seen["cap 0"] += 0 in c.caps
+        seen["redundant"] += any("redundant" in w for w in c.warnings)
+        seen["partial V"] += len(set(V)) < len(ground)
+        seen["degenerate"] += len(want) > 2 and bool(want[2])
+        seen["error"] += len(want) == 2
+    assert seen.pop("cover") == {1, 2, 3, 4} and min(seen.values()) >= 10, seen
 
 
 class TestCoresetJson:

@@ -7,17 +7,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import detmax.harness
+import detmax.properties
 from detmax import (
     CardinalityConstraint,
     InstanceSpec,
     InvariantError,
+    LaminarConstraint,
+    PointSet,
     PreconditionError,
     bench_scaling,
     build_coreset,
     coreset_to_json,
+    instance_to_json,
     main,
     random_instance,
     run_distributed,
@@ -124,6 +129,18 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(PreconditionError):
             run_suites("nonexistent")
+
+    def test_a_body_that_raises_is_a_fail_line(self, monkeypatch, capsys):
+        def body(seed):
+            raise InvariantError("peeling layers must be disjoint")
+
+        monkeypatch.setitem(detmax.properties.SUITES, "sizes", body)
+        assert run_suites("sizes", seed=3) == [
+            ("sizes", False, "raised InvariantError: peeling layers must be disjoint")
+        ]
+        assert main(["verify", "--suite", "sizes"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("FAIL sizes: raised InvariantError: peeling layers must be disjoint\n", "")
 
 
 RUN = ["run", "--instance", "{path}"]  # argv of a run on the test's instance file
@@ -276,6 +293,18 @@ class TestCli:
             assert main(["verify", "--suite", "cauchy-binet"] + seed_args) == 0
             out = capsys.readouterr().out
             assert out.startswith("PASS cauchy-binet")
+
+    def test_deep_chain_instance(self, tmp_path, capsys):
+        # a chain of 500 nested sets: the constructor, the coreset and the run keep no call frame per level
+        rng = np.random.default_rng(0)
+        points = PointSet(4, [(i, rng.standard_normal(4), None) for i in range(500)])
+        chain = LaminarConstraint([(range(i + 1), i + 1) for i in range(500)], range(500))
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(instance_to_json(points, chain)))
+        assert main(["coreset", "--instance", str(path), "--out", str(tmp_path / "cs.json")]) == 0
+        assert main(["run", "--instance", str(path), "--oracle", "skip", "--out", str(tmp_path / "run.json")]) == 0
+        assert json.loads((tmp_path / "cs.json").read_text())["kind"] == "laminar"
+        assert capsys.readouterr().err == ""
 
     def test_bench_command(self, tmp_path):
         out = tmp_path / "bench.csv"

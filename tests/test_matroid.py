@@ -251,6 +251,23 @@ class TestLaminar:
         assert c.caps[big] == 2
         assert 4 in c.free_ids
 
+    def test_order_and_depth(self):
+        # roots ascending, each set followed by its subtree; depth counts the set and the longest chain inside it
+        c = LaminarConstraint([([0, 1], 1), ([0, 1, 2, 3], 2), ([5, 6], 1), ([3], 0)], range(7))
+        assert (c.parents.tolist(), c.order, c.depth) == ([1, -1, -1, 1], (1, 0, 3, 2), (1, 2, 1, 1))
+        assert [sorted(c.set_ids(i)) for i in range(4)] == [[0, 1], [0, 1, 2, 3], [5, 6], [3]]
+
+    @pytest.mark.parametrize("depth", [1000, 2000])
+    def test_deep_chain(self, depth):
+        # no level of the family is a call frame, so the depth of a chain is not bounded by the recursion limit
+        c = LaminarConstraint([(range(i + 1), i + 1) for i in range(depth)], range(depth + 3))
+        assert (c.rank, cover_number(c)) == (depth + 3, depth)
+        assert c.order == tuple(range(depth - 1, -1, -1)) and c.depth == tuple(range(1, depth + 1))
+        assert c.set_ids(depth - 1) == frozenset(range(depth)) and c.set_ids(0) == {0}
+        # each set holds two ids more than its child but one more cap, so the caps bind
+        c = LaminarConstraint([(range(2 * i + 2), i + 1) for i in range(depth)], range(2 * depth))
+        assert (c.rank, cover_number(c), len(c.warnings)) == (depth, depth, 0)
+
     def test_enumerate_bases(self):
         c = LaminarConstraint([([0, 1], 1), ([2, 3], 1)], range(4))
         got = _bases(c, _points(4))
