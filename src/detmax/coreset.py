@@ -31,7 +31,7 @@ high-rank regime, (k*ell)**r for laminar families with cover number r.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
     return PeelingCoreset(tuple(ids.tolist()), threshold, ell, zeta, _peel(ids, points.rows(ids), threshold, ell, zeta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaminarNodeCoreset:
     """Coreset of one family set: peeled layers plus the nodes of the child sets they touched.
 
@@ -105,7 +105,8 @@ class LaminarNodeCoreset:
     set after that layer: the layer's own loose elements plus every child
     family set a layer element belonged to (the whole set, not just its
     part inside V, because the exchange argument needs selections to avoid
-    those sets globally).
+    those sets globally).  Nodes compare and hash by identity, and the repr
+    names no child, so none of them recurses through a deep family.
     """
 
     set_ids: frozenset
@@ -113,6 +114,10 @@ class LaminarNodeCoreset:
     layers: tuple
     removed: tuple
     children: tuple
+
+    def __repr__(self):
+        return "LaminarNodeCoreset(%d ids, cap %d, %d layers, %d children)" % (
+            len(self.set_ids), self.cap, len(self.layers), len(self.children))
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,12 @@ class CoresetResult:
 
     def __post_init__(self):
         self.source_array.setflags(write=False)
+
+    def __eq__(self, other):
+        """Field by field, the working set by ``np.array_equal`` and laminar nodes by identity."""
+        pairs = [(getattr(self, f.name), getattr(other, f.name, None)) for f in fields(self)]
+        return isinstance(other, CoresetResult) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     @functools.cached_property
     def source(self):
@@ -322,10 +333,6 @@ def compose(coresets):
     )
 
 
-def _default_profile(union_ids, zeta, ell):
-    return WeightProfile(frozenset(union_ids), zeta, ell, REGIME_HIGHK)
-
-
 def _best_replacement(points, sel, e, layers, blocks, profile, exhausted):
     """Best f for e out of the first layer whose block (the id-set paired
     with it in ``blocks``) S misses: the f maximizing mu_tilde(S - e + f),
@@ -364,7 +371,7 @@ def find_value_preserving_exchange(points, S, e, peeling, profile=None):
             % (len(sel & vset), peeling.threshold)
         )
     if profile is None:
-        profile = _default_profile(peeling.union, peeling.zeta, peeling.ell)
+        profile = WeightProfile(peeling.union, peeling.zeta, peeling.ell, REGIME_HIGHK)
     return _best_replacement(
         points, sel, e, peeling.layers, [layer.id_set for layer in peeling.layers], profile,
         "no layer is disjoint from S; exchange hypothesis violated",
@@ -403,7 +410,7 @@ def find_laminar_exchange(points, S, e, result, profile=None):
             "element %r is outside every family set, so it is always kept" % (e,)
         )
     if profile is None:
-        profile = _default_profile(result.ids, result.zeta, result.ell)
+        profile = WeightProfile(result.ids, result.zeta, result.ell, REGIME_HIGHK)
     while any(e in block for block in node.removed):
         node = _node_containing(node.children, e)
         if node is None:

@@ -14,15 +14,15 @@ rounding, not by the ids.  Reruns on the same input produce the same
 selection.
 
 One sweep scores every exchange at once in closed form.  With A the rows of
-U, G = A A^T, B = A X^T (ell x n, from X^T made contiguous once per search)
-and C = G^-1 B, the exchange of member e for outsider f multiplies the
-squared volume by
+U, G = A A^T and C = (G^-1 A) X^T (ell x n: one product, on the view X^T),
+the exchange of member e for outsider f multiplies the squared volume by
 
     det G(U - e + f) / det G(U) = C[e, f]^2 + |P_U^perp f|^2 * (G^-1)[e, e],
 
-where |P_U^perp f|^2 = |f|^2 - sum_j B[j, f] C[j, f] is the squared distance
-of f from span(U).  G^-1 is recomputed from scratch on every sweep.  Each
-member's row is contiguous, so its best outsider is a row argmax.
+where |P_U^perp f|^2 = |f|^2 - sum_j B[j, f] C[j, f], B = A X^T, is the
+squared distance of f from span(U).  When ell = d, span(U) is all of R^d,
+the distance is zero and neither B nor it is computed.  G^-1 is recomputed
+from scratch on every sweep.  Each member's best outsider is a row argmax.
 
 The sweep reads no volume.  An accepted swap multiplies it by more than
 zeta >= 1, so a visited selection can score singular only through
@@ -88,26 +88,25 @@ def _greedy_positions(X, take):
     SINGULAR_PIVOT_REL times its own squared norm counts as already spanned
     and extends the selection without extending the basis.
     """
-    n, d = X.shape
+    d = X.shape[1]
     res = np.einsum("ij,ij->i", X, X).astype(float)
     cut = SINGULAR_PIVOT_REL * res
     basis = np.zeros((take, d))
     nbasis = 0
-    available = np.ones(n, dtype=bool)
     picked = []
     for _ in range(take):
-        masked = np.where(available, res, -np.inf)
-        pos = int(np.argmax(masked))
+        pos = int(np.argmax(res))  # picked rows hold -inf
         picked.append(pos)
-        available[pos] = False
         if res[pos] > cut[pos] and nbasis < d:
             v = X[pos] - basis[:nbasis].T @ (basis[:nbasis] @ X[pos])
             norm = float(np.linalg.norm(v))
             if norm * norm > cut[pos]:
-                q = v / norm
-                basis[nbasis] = q
+                basis[nbasis] = v / norm
+                res -= np.square(X @ basis[nbasis])
                 nbasis += 1
-                res = np.maximum(res - (X @ q) ** 2, 0.0)
+                np.maximum(res, 0.0, out=res)
+                res[picked] = -np.inf
+        res[pos] = -np.inf
     return picked
 
 
@@ -123,29 +122,23 @@ def greedy_init(points, V, ell):
     return tuple(ids[_greedy_positions(points.rows(ids), min(ell, len(ids)))].tolist())
 
 
-def _exchange_ratios(XT, norms, cur_pos):
-    """det G(U - e + f) / det G(U) for member e = cur_pos[i] and every column f of XT.
-
-    Row i, column f; ``norms`` holds the squared column norms of XT.
-    """
-    A = XT.T[cur_pos]  # the members' rows, C-contiguous as X[cur_pos] would be
+def _exchange_ratios(X, cur_pos):
+    """det G(U - e + f) / det G(U) for member e = cur_pos[i] and every row f of X, as an ell x n array."""
+    A = X[cur_pos]
     g_inv = np.linalg.inv(A @ A.T)
-    Bt = A @ XT
-    Ct = g_inv @ Bt
-    resid = np.maximum(norms - np.einsum("ij,ij->j", Bt, Ct), 0.0)
-    ratio = np.multiply(Ct, Ct, out=Bt)  # Bt is spent; its ell x n buffer is reused
-    ratio += np.diag(g_inv)[:, None] * resid
-    return ratio
+    Ct = (g_inv @ A) @ X.T
+    if len(cur_pos) == X.shape[1]:  # span(U) is all of R^d: no outsider has a residual
+        return np.square(Ct, out=Ct)
+    resid = np.maximum(np.einsum("ij,ij->i", X, X) - np.einsum("ij,ij->j", A @ X.T, Ct), 0.0)
+    return Ct * Ct + np.diag(g_inv)[:, None] * resid
 
 
 def _swap_sweeps(X, history, zeta, swap_limit):
     """Append each accepted selection to ``history`` until no exchange clears zeta."""
-    XT = np.ascontiguousarray(X.T)
-    norms = np.einsum("ij,ij->i", X, X)
     cur_pos = history[-1]
     members = np.arange(len(cur_pos))
     while True:
-        ratio = _exchange_ratios(XT, norms, cur_pos)
+        ratio = _exchange_ratios(X, cur_pos)
         ratio[:, cur_pos] = -np.inf
         into = ratio.argmax(axis=1)  # the best outsider for each member; ties: smallest in id
         best = ratio[members, into]

@@ -168,6 +168,14 @@ class TestCompose:
         assert c.declared_bound == a.declared_bound + b.declared_bound
         assert c.ell == a.ell and c.zeta == a.zeta
 
+    def test_equality_is_a_bool(self):
+        # the working set is a numpy array, compared by value
+        a, b = self._two_coresets()
+        again, _ = self._two_coresets()
+        assert (a == again) is True and (a != b) is True
+        assert coreset_from_json(json.loads(json.dumps(coreset_to_json(a)))) == a
+        assert compose([a, b]) == compose([again, b]) != compose([b])
+
     def test_single_passthrough(self):
         a, _ = self._two_coresets()
         c = compose([a])
@@ -393,11 +401,17 @@ class TestLaminarRecursion:
         assert sorted(cs.ids) == [0, 1, 2, 5] and cs.structure["free"] == (2, 5)
 
 
-def test_deep_chain_builds_within_bounds():
-    # each of the 1,000 levels is peeled off a work stack, not a call frame
+@pytest.fixture(scope="module")
+def deep_chain():
+    """The build over a chain of 1,000 nested sets and its constraint."""
     ps = _rand_ps(7, 1000, 4)
     c = LaminarConstraint([(range(i + 1), i + 1) for i in range(1000)], range(1000))
-    cs = build_coreset(ps, ps.ids, c)
+    return c, build_coreset(ps, ps.ids, c)
+
+
+def test_deep_chain_builds_within_bounds(deep_chain):
+    # each of the 1,000 levels is peeled off a work stack, not a call frame
+    c, cs = deep_chain
     assert len(cs.ids) <= cs.declared_bound == (c.rank * 4) ** 1000
     todo, nodes, layers = list(cs.structure["roots"].values()), 0, 0
     while todo:
@@ -407,6 +421,17 @@ def test_deep_chain_builds_within_bounds():
         todo += node.children
         nodes, layers = nodes + 1, layers + len(node.layers)
     assert nodes == 1000 and layers == len(cs.layers)
+
+
+def test_deep_chain_repr_eq_and_hash_do_not_recurse(deep_chain):
+    # a node's repr counts its children, and nodes compare and hash by identity
+    _, cs = deep_chain
+    root = cs.structure["roots"][999]
+    assert repr(root) == "LaminarNodeCoreset(1000 ids, cap 1000, %d layers, 1 children)" % len(root.layers)
+    assert repr(root) in repr(cs)
+    assert root == root and root != root.children[0]
+    assert len({root, root, root.children[0]}) == 2
+    assert (cs == cs) is True
 
 
 # the recursive construction the work stack replaced, kept as a reference

@@ -14,6 +14,7 @@ from detmax import (
     verify_local_opt,
 )
 from detmax import localsearch
+from detmax.geometry import SINGULAR_PIVOT_REL
 from detmax.localsearch import (
     SWAP_LIMIT,
     LocalOptResult,
@@ -41,14 +42,43 @@ def _brute_best(points, ids, ell):
     return max(nu(points, list(c)) for c in combinations(sorted(ids), ell))
 
 
+def _reference_greedy(X, take):
+    """Greedy max-residual picks with a fresh availability mask on every pick.
+
+    ``_greedy_positions`` must pick the same rows: it keeps one residual
+    array, updated in place, with -inf on the rows already picked.
+    """
+    n, d = X.shape
+    res = np.einsum("ij,ij->i", X, X).astype(float)
+    cut = SINGULAR_PIVOT_REL * res
+    basis = np.zeros((take, d))
+    nbasis = 0
+    available = np.ones(n, dtype=bool)
+    picked = []
+    for _ in range(take):
+        pos = int(np.argmax(np.where(available, res, -np.inf)))
+        picked.append(pos)
+        available[pos] = False
+        if res[pos] > cut[pos] and nbasis < d:
+            v = X[pos] - basis[:nbasis].T @ (basis[:nbasis] @ X[pos])
+            norm = float(np.linalg.norm(v))
+            if norm * norm > cut[pos]:
+                q = v / norm
+                basis[nbasis] = q
+                nbasis += 1
+                res = np.maximum(res - (X @ q) ** 2, 0.0)
+    return picked
+
+
 def _reference_search(X, ids, ell, zeta=1.01, swap_limit=SWAP_LIMIT):
     """The swap loop in the n x ell layout, scoring the selection after every swap.
 
     ``search`` must reach the same result: it sweeps in the ell x n layout
-    and scores the visited selections once, after its loop.
+    with one product per sweep and scores the visited selections once,
+    after its loop.
     """
     take = min(ell, len(X))
-    cur_pos = sorted(_greedy_positions(X, take))
+    cur_pos = sorted(_reference_greedy(X, take))
     val = _nu_rows(X[cur_pos])
     norms = np.einsum("ij,ij->i", X, X)
     swaps = 0
@@ -131,6 +161,43 @@ class TestGreedyInit:
         picks = greedy_init(ps, [0, 1, 2], 2)
         assert len(picks) == 2
         assert nu(ps, sorted(picks)) == -math.inf
+
+
+def _greedy_input(kind, seed):
+    """Rows and their pick counts for one greedy comparison."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    n = int(rng.integers(1, 60))
+    X = rng.standard_normal((n, d))
+    if kind == "duplicate rows":
+        X = X[rng.integers(0, max(1, n // 4), n)]
+    elif kind == "zero rows":
+        X[rng.random(n) < 0.5] = 0.0
+    elif kind == "rank-deficient":  # rank r < d, all zero when r = 0
+        r = int(rng.integers(0, d))
+        X = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    elif kind == "rounded":
+        X = np.round(X)
+    takes = {"take = n": n, "ell = d": min(n, d)}
+    if d > 1:
+        takes["ell < d"] = min(n, int(rng.integers(1, d)))
+    return X, takes
+
+
+class TestGreedyAgainstReference:
+    @pytest.mark.parametrize("kind", ["random", "duplicate rows", "zero rows", "rank-deficient", "rounded"])
+    def test_same_picks_as_masked_greedy(self, kind):
+        # 64 inputs per kind, each with take = n, ell = d and (when d > 1) an ell below d
+        for seed in range(64):
+            X, takes = _greedy_input(kind, seed)
+            for name, take in takes.items():
+                assert _greedy_positions(X, take) == _reference_greedy(X, take), (seed, name)
+
+    def test_zero_and_duplicate_rows_in_one_input(self):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
+        for take in range(1, len(X) + 1):
+            assert _greedy_positions(X, take) == _reference_greedy(X, take)
+        assert _greedy_positions(X, len(X)) == [4, 1, 0, 2, 3, 5]
 
 
 class TestLocalOpt:
@@ -246,7 +313,7 @@ class TestExchangeRatios:
             X = ps.rows(ps.ids)
             rng = np.random.default_rng(seed)
             cur = sorted(int(p) for p in rng.choice(n, ell, replace=False))
-            ratio = _exchange_ratios(np.ascontiguousarray(X.T), np.einsum("ij,ij->i", X, X), cur).T
+            ratio = _exchange_ratios(X, cur).T
             base = nu(ps, cur)
             for j, e in enumerate(cur):
                 for f in range(n):
@@ -277,7 +344,7 @@ class TestExchangeRatios:
         ps = _ps([(0, 2, -2), (-2, -1, 1), (1, -1, -2), (2, -2, 0), (1, -1, -2)])
         assert sorted(greedy_init(ps, ps.ids, 3)) == [0, 1, 3]
         X = ps.rows(ps.ids)
-        ratio = _exchange_ratios(np.ascontiguousarray(X.T), np.einsum("ij,ij->i", X, X), [0, 1, 3]).T
+        ratio = _exchange_ratios(X, [0, 1, 3]).T
         assert ratio[2, 0] == ratio[4, 0] == ratio[2, 2] == ratio[4, 2] == 2.25
         res = local_opt(ps, ps.ids, 3, 1.01)
         assert (res.ids, res.swap_count) == ((1, 2, 3), 1)
