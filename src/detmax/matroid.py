@@ -17,11 +17,13 @@ is the one ground lookup.
 Rank is the achievable one: the size of a maximum independent subset of the
 ground set, the sum of the caps when every group has at least its cap.
 Bases are independent sets of exactly rank elements.
+:func:`enumerate_bases` lists them as the leaves of a walk down the lex
+tree of independent prefixes, on an explicit stack, pruning each prefix
+that breaks a cap by its membership counts.
 """
 
 import math
 import os
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .geometry import UNLABELED, check_ids, distinct_ids, first_true, int_column
 
 DEFAULT_ORACLE_CAP = 10**6
 ORACLE_CAP_ENV = "DETMAX_ORACLE_CAP"
-_BATCH = 1 << 14  # most bases per chunk of enumerate_bases
+_BATCH = 1 << 14  # most rows per block of the base walk, and so per chunk of enumerate_bases
 
 
 def oracle_cap():
@@ -284,14 +286,28 @@ def membership(constraint, ids):
     return member, np.array([min(cap, len(constraint.ground_ids)) for cap in constraint.caps], dtype=np.int64)
 
 
-def enumerate_bases(constraint, points):
+def enumerate_bases(constraint, points, grow=None):
     """Yield the bases within ``points`` in lex order, as (b, k) int64 id arrays of 1.._BATCH rows.
 
-    Each chunk is cut from the rank-k combinations of the sorted ids and
-    keeps the rows within every cap; rank 0 gives one empty base.  The call
-    itself, not the first ``next()``, checks C(n, k) against the oracle cap
-    (10**6 by default, DETMAX_ORACLE_CAP overrides) and names the smallest
-    id outside the ground set in an UnknownIdError.
+    The bases are the leaves of a walk down the lex tree over positions into
+    the sorted ids.  A prefix of j positions is extended by each position
+    after its last that leaves room for the other k - j - 1, and a prefix
+    that breaks a cap is dropped with its subtree: cap counts only grow, so
+    no base lies below it.  The walk keeps an explicit stack of blocks of
+    prefixes, one block per level, and hands out a block's children _BATCH
+    rows at a time, so no level ever holds more than _BATCH rows.  Rank 0
+    gives one empty base.
+
+    With ``grow``, a pair ``(root, step)``, each chunk comes as an (ids,
+    mats) pair that carries one matrix per base.  ``root`` is the empty
+    prefix's (1, ...) matrix, and ``step(mats, prefix, child)`` returns the
+    matrices of the (b, j) prefixes ``prefix``, each extended by its entry
+    in ``child``; both hold rows of ``points.coords``.  A prefix's matrix is
+    grown once and shared by all its extensions.
+
+    The call itself, not the first ``next()``, checks C(n, k) against the
+    oracle cap (10**6 by default, DETMAX_ORACLE_CAP overrides) and names the
+    smallest id outside the ground set in an UnknownIdError.
     """
     ids = np.sort(points.id_array)
     k = constraint.rank
@@ -301,22 +317,45 @@ def enumerate_bases(constraint, points):
             "enumerating C(%d, %d) = %d bases exceeds the cap of %d (set %s to raise it)"
             % (len(ids), k, total, cap, ORACLE_CAP_ENV)
         )
-    return _base_chunks(ids, k, *membership(constraint, ids))
+    member, caps = membership(constraint, ids)
+    walk = _walk(ids, k, member, caps, grow, points.index(ids) if grow else None) if total else iter(())
+    return walk if grow else (chunk for chunk, _ in walk)
 
 
-def _base_chunks(ids, k, member, caps):
-    """The size-k rows over ``ids`` that keep within ``caps``, chunk by chunk."""
+def _walk(ids, k, member, caps, grow, at):
+    """The (ids, mats) chunks of the bases below the empty prefix, in lex order; mats is None without ``grow``.
+
+    ``at`` maps a position into ``ids`` to its row of the points, which is what ``grow``'s step takes.
+    """
+    n = len(ids)
+    root, step = grow or (None, None)
     if k == 0:
-        yield np.empty((1, 0), dtype=np.int64)
+        yield np.empty((1, 0), dtype=np.int64), root
         return
-    combos = combinations(range(len(ids)), k)
-    while True:
-        rows = np.fromiter(chain.from_iterable(islice(combos, _BATCH)), np.int64).reshape(-1, k)
-        if not len(rows):
-            return
-        rows = rows[(member[rows].sum(1) <= caps).all(1)]
-        if len(rows):
-            yield ids[rows]
+    # a frame: one block of prefixes (positions, cap counts, matrices), the running total of their
+    # children, and how many of those were handed out; a prefix ending at p extends by p + 1 .. n - k + j
+    stack = [[np.empty((1, 0), dtype=np.int64), np.zeros((1, len(caps)), np.int64), root, np.array([n - k + 1]), 0]]
+    while stack:
+        rows, counts, mats, ends, done = frame = stack[-1]
+        if done == ends[-1]:
+            stack.pop()
+            continue
+        j = rows.shape[1]
+        t = np.arange(done, min(done + _BATCH, ends[-1]))
+        frame[4] = done + len(t)
+        parent = np.searchsorted(ends, t, side="right")
+        child = t - ends[parent] + (n - k + j + 1)
+        counts = counts[parent] + member[child]
+        keep = np.flatnonzero((counts <= caps).all(1))
+        if not len(keep):
+            continue
+        parent, child, prefix = parent[keep], child[keep], rows[parent[keep]]
+        grown = step(mats[parent], at[prefix], at[child]) if step else None
+        rows = np.column_stack((prefix, child))
+        if j + 1 == k:
+            yield ids[rows], grown
+        else:
+            stack.append([rows, counts[keep], grown, np.cumsum(n - k + j + 1 - child), 0])
 
 
 def cover_number(constraint):

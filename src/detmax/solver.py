@@ -2,12 +2,14 @@
 
 The objective is the solver dispatch from the objective module: determinant
 of the k x k inner-product matrix while selections are smaller than the
-dimension, determinant of the d x d outer-product sum otherwise.  The brute
-force route takes every base (guarded by DETMAX_ORACLE_CAP) chunk by chunk
-from the enumerator and scores each chunk in one vectorized batch through
-the same pivot rule as the scalar path, so batch and scalar evaluations
-cannot disagree about singularity.  Ties go to the lexicographically
-smallest base.
+dimension, determinant of the d x d outer-product sum otherwise.  Both
+solvers build these matrices with one grow step, which extends a selection's
+matrix by one row.  The brute force route walks the lex tree of independent
+prefixes (guarded by DETMAX_ORACLE_CAP), so each prefix's matrix is grown
+once and shared by its extensions, and scores each chunk of bases in one
+vectorized batch through the same pivot rule as the scalar path, so batch
+and scalar evaluations cannot disagree about singularity.  Ties go to the
+lexicographically smallest base.
 """
 
 import math
@@ -52,24 +54,50 @@ class SolveResult:
         }
 
 
-def _values(coords, rows, first=0):
-    """Objective of each row of the (b, k) array ``rows`` of positions into ``coords``."""
-    sel = coords[rows]  # (b, k, d)
-    spec = "bki,bkj->bij" if rows.shape[1] >= coords.shape[1] else "bki,bli->bkl"  # scatter, else Gram
-    return logdet_psd_batch(np.einsum(spec, sel, sel), first=first)
+def _grower(coords, scatter):
+    """The empty selection's (1, ...) matrix and the step that extends a stack of selections by one row each.
+
+    ``step(mats, prefix, child)`` takes the matrices of the selections whose
+    rows of ``coords`` are the (b, j) array ``prefix`` and returns those of
+    each prefix plus its row in ``child``: the d x d scatter plus the child's
+    outer product, or the j x j Gram bordered by the child's inner products
+    with the prefix and its squared norm.
+    """
+    def outer(mats, prefix, child):
+        x = coords[child]
+        out = np.einsum("bi,bj->bij", x, x)
+        out += mats
+        return out
+
+    def border(mats, prefix, child):
+        b, j = prefix.shape
+        x = coords[child]
+        out = np.empty((b, j + 1, j + 1))
+        out[:, :j, :j] = mats
+        for i in range(j):  # a column at a time, so no (b, j, d) gather of the prefixes' rows
+            out[:, j, i] = out[:, i, j] = np.einsum("bd,bd->b", coords[prefix[:, i]], x)
+        out[:, j, j] = np.einsum("bd,bd->b", x, x)
+        return out
+
+    d = coords.shape[1]
+    return (np.zeros((1, d, d)), outer) if scatter else (np.zeros((1, 0, 0)), border)
 
 
 def brute_force_opt(points, constraint):
     """Enumerate every base and return the best (lex-smallest on ties).
 
-    Chunks of bases arrive in lex order, and a later one takes over only
-    with a strictly larger value.  Raises GuardExceededError through the base
-    enumerator when C(n, k) exceeds the oracle cap.  No bases at all gives an
-    infeasible result; all-singular bases give a feasible result with -inf.
+    The base walk grows each prefix's matrix once, from its parent's, and
+    hands the bases over chunk by chunk in lex order with their matrices: the
+    k x k Gram while k < d, the d x d scatter otherwise.  A later chunk takes
+    over only with a strictly larger value.  Raises GuardExceededError
+    through the base enumerator when C(n, k) exceeds the oracle cap.  No
+    bases at all gives an infeasible result; all-singular bases give a
+    feasible result with -inf.
     """
+    scatter = constraint.rank >= points.dim
     best, best_val, seen = None, -math.inf, 0
-    for chunk in enumerate_bases(constraint, points):
-        vals = _values(points.coords, points.index(chunk), first=seen)
+    for chunk, mats in enumerate_bases(constraint, points, _grower(points.coords, scatter)):
+        vals = logdet_psd_batch(mats, first=seen)
         top = int(np.argmax(vals))
         if best is None or vals[top] > best_val:
             best, best_val = chunk[top], vals[top]
@@ -84,24 +112,34 @@ def greedy_constrained(points, constraint):
     """Grow a base one element at a time, maximizing the objective each step.
 
     Candidates that would break a cap are masked out; ties go to the
-    smallest id.  Once the rank is unreachable from the current selection
-    the result is marked infeasible and carries the partial pick.  Note the
-    greedy chain keeps extending through singular selections (all gains
-    -inf) because later picks can still restore full rank.
+    smallest id.  Each candidate's matrix grows from the picks' shared one
+    by the brute-force step: the Gram while the selection stays below the
+    dimension, the scatter from then on.  Once the rank is unreachable from
+    the current selection the result is marked infeasible and carries the
+    partial pick.  Note the greedy chain keeps extending through singular
+    selections (all gains -inf) because later picks can still restore full
+    rank.
     """
     ids = np.sort(points.id_array)
     member, caps = membership(constraint, ids)
     coords = points.coords[points.index(ids)]
     picks = []  # positions into ids, in pick order
-    for _ in range(constraint.rank):
+    mat, step = _grower(coords, False)
+    for j in range(constraint.rank):
         blocked = member[:, member[picks].sum(0) >= caps].any(1)  # in a set already at its cap
         blocked[picks] = True
         cands = np.flatnonzero(~blocked)
         if not len(cands):
             return SolveResult(tuple(sorted(ids[picks].tolist())), -math.inf, False, "greedy")
-        rows = np.empty((len(cands), len(picks) + 1), dtype=np.intp)
-        rows[:, :-1], rows[:, -1] = picks, cands
-        picks.append(int(cands[np.argmax(_values(coords, rows))]))
+        if j + 1 == points.dim:  # from here on the scatter: build the picks' in pick order
+            mat, step = _grower(coords, True)
+            for i in range(j):
+                mat = step(mat, np.array([picks[:i]], dtype=np.intp), np.array(picks[i:i + 1]))
+        prefix = np.broadcast_to(np.array(picks, dtype=np.intp), (len(cands), j))
+        mats = step(np.broadcast_to(mat, (len(cands),) + mat.shape[1:]), prefix, cands)
+        top = int(np.argmax(logdet_psd_batch(mats)))
+        picks.append(int(cands[top]))
+        mat = mats[top:top + 1].copy()  # a view would keep every candidate's matrix alive
     final = tuple(sorted(ids[picks].tolist()))
     if not is_independent(constraint, final):
         raise InvariantError("greedy picked %r, which breaks a cap" % (final,))

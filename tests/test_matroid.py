@@ -314,6 +314,22 @@ class TestEnumerateChunks:
                 enumerate_bases(c, ps)
 
 
+class TestBaseWalk:
+    def test_one_prefix_children_are_sliced(self, monkeypatch):
+        # the empty prefix's ten children come three at a time, in lex order
+        monkeypatch.setattr(matroid, "_BATCH", 3)
+        chunks = [chunk.tolist() for chunk in enumerate_bases(CardinalityConstraint(1, range(10)), _points(10))]
+        assert chunks == [[[0], [1], [2]], [[3], [4], [5]], [[6], [7], [8]], [[9]]]
+
+    def test_deep_tree_in_small_blocks_keeps_lex_order(self, monkeypatch):
+        # k = 4 puts blocks of three prefixes on four levels of the stack at once
+        monkeypatch.setattr(matroid, "_BATCH", 3)
+        labels = [i % 3 for i in range(10)]
+        ps = _points(10, labels)
+        for c in (CardinalityConstraint(4, range(10)), PartitionConstraint((2, 1, 1), dict(enumerate(labels)))):
+            assert _bases(c, ps) == [s for s in combinations(range(10), 4) if is_base(c, s)]
+
+
 class TestOracleCap:
     def test_default(self, monkeypatch):
         monkeypatch.delenv(ORACLE_CAP_ENV, raising=False)

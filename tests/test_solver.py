@@ -129,19 +129,64 @@ class TestBruteForce:
             brute_force_opt(ps, CardinalityConstraint(2, ps.ids))
 
     def test_ties_across_chunks_go_to_the_lex_smallest(self, monkeypatch):
-        # chunks of 3 bases: (1, 2) ends chunk 2 and its exact tie (2, 4)
-        # sits inside chunk 4; moving id 4 outward makes (2, 4) win outright
+        # chunks of 3 bases: (1, 2) and its exact tie (2, 4) come in
+        # different chunks; moving id 4 outward makes (2, 4) win outright
         monkeypatch.setattr(matroid, "_BATCH", 3)
         rows = [[0.1, 0.2], [1.0, 0.0], [0.0, 1.0], [0.3, 0.1], [1.0, 0.0], [0.2, 0.3]]
         ps = PointSet(2, [(i, np.array(r), None) for i, r in enumerate(rows)])
         c = CardinalityConstraint(2, ps.ids)
-        chunks = [chunk.tolist() for chunk in matroid.enumerate_bases(c, ps)]
-        assert chunks[1][2] == [1, 2] and chunks[3][1] == [2, 4]
+        chunk_of = {tuple(base): i for i, chunk in enumerate(matroid.enumerate_bases(c, ps)) for base in chunk.tolist()}
+        assert chunk_of[(1, 2)] != chunk_of[(2, 4)]
         assert objective_value(ps, [1, 2]) == objective_value(ps, [2, 4])
         assert brute_force_opt(ps, c).ids == (1, 2)
         rows[4] = [1.5, 0.0]
         ps = PointSet(2, [(i, np.array(r), None) for i, r in enumerate(rows)])
         assert brute_force_opt(ps, c).ids == (2, 4)
+
+    def test_matches_reference_laminar_in_small_chunks(self, monkeypatch):
+        # blocks of 3 prefixes, so the walk slices, prunes and grows matrices
+        # across many blocks, on the Gram (k < d) and the scatter (k >= d) route
+        monkeypatch.setattr(matroid, "_BATCH", 3)
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            n = int(rng.integers(7, 11))
+            cut = int(rng.integers(3, n - 2))
+            family = [(range(cut), int(rng.integers(2, 4))), (range(cut // 2 + 1), 1),
+                      (range(cut, n - 1), int(rng.integers(1, 3)))]
+            c = LaminarConstraint(family, range(n))
+            for d in (c.rank + 1, max(c.rank - 1, 1)):
+                ps = _rand_ps(300 + trial, n, d)
+                got = brute_force_opt(ps, c)
+                ids, val = _reference_opt(ps, c)
+                assert got.feasible and got.ids == ids
+                assert abs(got.log_value - val) < 1e-9
+
+    def test_every_base_is_scored_once(self, monkeypatch):
+        # pruning a prefix at a broken cap drops no base: the scorer gets
+        # one matrix per base of the filter reference
+        monkeypatch.setattr(matroid, "_BATCH", 3)
+        real, handed = solver.logdet_psd_batch, []
+
+        def counting(mats, first):
+            handed.append(len(mats))
+            return real(mats, first=first)
+
+        monkeypatch.setattr(solver, "logdet_psd_batch", counting)
+        labels = [i % 3 for i in range(9)]
+        ps = _rand_ps(21, 9, 3, labels)
+        for c in (
+            CardinalityConstraint(3, range(9)),
+            PartitionConstraint((2, 1, 1), dict(enumerate(labels))),
+            LaminarConstraint([(range(5), 2), (range(2), 1), (range(5, 9), 1)], range(9)),
+        ):
+            handed.clear()
+            brute_force_opt(ps, c)
+            assert sum(handed) == sum(1 for s in combinations(range(9), c.rank) if is_base(c, s)) > 3
+
+    def test_rank_above_point_count_is_infeasible(self):
+        ps = _rand_ps(6, 3, 2)
+        got = brute_force_opt(ps, CardinalityConstraint(4, range(6)))
+        assert (got.ids, got.log_value, got.feasible) == ((), -math.inf, False)
 
     def test_rank_zero_is_one_empty_base(self):
         ps = _rand_ps(4, 3, 2, [0, 0, 1])
