@@ -80,7 +80,6 @@ from .localsearch import (
 from .coreset import (
     CoresetResult,
     LaminarNodeCoreset,
-    PeelingCoreset,
     build_coreset,
     compose,
     coreset_from_json,
@@ -128,7 +127,6 @@ __all__ = [
     "MatrixInvariantError",
     "ORACLE_CAP_ENV",
     "PartitionConstraint",
-    "PeelingCoreset",
     "PointSet",
     "PreconditionError",
     "REGIME_HIGHK",

@@ -10,7 +10,8 @@ missed layer supplies a replacement element whose reweighted objective
 Iterating the replacement walks any selection into the coreset while the
 reweighted objective never drops, which is what makes the union of
 per-machine coresets lose at most the factor (zeta*ell)**(2*ell) in the
-plain objective.
+plain objective.  A peeling is the node of one set with no children, so one
+walk replays the exchange for peelings and laminar coresets alike.
 
 The rank k and the dimension d fix the construction (see
 ``objective.regime_of``): local optima have size ell = min(k, d), and two
@@ -29,7 +30,6 @@ InvariantError: s*k in the low-rank regime, k*ell for partitions in the
 high-rank regime, (k*ell)**r for laminar families with cover number r.
 """
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -41,21 +41,6 @@ from .localsearch import DEFAULT_ZETA, check_search, search
 from .localsearch import local_opt  # noqa: F401  bench/layers.py wraps coreset.local_opt; drop both together
 from .matroid import cover_number, ground_positions, membership
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde, regime_of
-
-
-@dataclass(frozen=True)
-class PeelingCoreset:
-    """Disjoint local-search layers peeled from one working set."""
-
-    source: tuple
-    threshold: int
-    ell: int
-    zeta: float
-    layers: tuple
-
-    @property
-    def union(self):
-        return frozenset().union(*(layer.ids for layer in self.layers))
 
 
 def _peel(ids, X, threshold, ell, zeta, child=None):
@@ -83,8 +68,41 @@ def _peel(ids, X, threshold, ell, zeta, child=None):
     return tuple(layers)
 
 
+@dataclass(frozen=True, eq=False)
+class LaminarNodeCoreset:
+    """Coreset of one set: its peeled layers plus the nodes of the child sets they touched.
+
+    A peeling is the node of one set V with cap = threshold and no children.
+    ``union`` is the ids of the node's own layers.  ``removed`` holds, per
+    layer, the ids taken out of the working set after that layer: the
+    layer's ids plus every child set it touches (the whole set, not just
+    its part inside V, because the exchange argument needs selections to
+    avoid those sets globally).  Nodes compare and hash by identity, and the
+    repr names no child, so none of them recurses through a deep family.
+    """
+
+    set_ids: frozenset
+    cap: int
+    layers: tuple
+    children: tuple
+
+    def __repr__(self):
+        return "LaminarNodeCoreset(%d ids, cap %d, %d layers, %d children)" % (
+            len(self.set_ids), self.cap, len(self.layers), len(self.children))
+
+    @property
+    def union(self):
+        return frozenset().union(*(layer.ids for layer in self.layers))
+
+    @property
+    def removed(self):
+        return tuple(frozenset(layer.ids).union(
+            *(child.set_ids for child in self.children if not child.set_ids.isdisjoint(layer.ids)))
+            for layer in self.layers)
+
+
 def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
-    """Peel up to ``threshold`` disjoint local optima out of V.
+    """Peel up to ``threshold`` disjoint local optima out of V: the node of the one set V.
 
     Stops early once V is exhausted; the theoretical size bound
     threshold*ell is checked either way.  Layers whose working set had
@@ -94,30 +112,8 @@ def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
         raise PreconditionError("threshold must be a positive int, got %r" % (threshold,))
     check_search(points.dim, ell, zeta)
     ids = distinct_ids(V)
-    return PeelingCoreset(tuple(ids.tolist()), threshold, ell, zeta, _peel(ids, points.rows(ids), threshold, ell, zeta))
-
-
-@dataclass(frozen=True, eq=False)
-class LaminarNodeCoreset:
-    """Coreset of one family set: peeled layers plus the nodes of the child sets they touched.
-
-    ``removed`` holds, per layer, the full id-set deleted from the working
-    set after that layer: the layer's own loose elements plus every child
-    family set a layer element belonged to (the whole set, not just its
-    part inside V, because the exchange argument needs selections to avoid
-    those sets globally).  Nodes compare and hash by identity, and the repr
-    names no child, so none of them recurses through a deep family.
-    """
-
-    set_ids: frozenset
-    cap: int
-    layers: tuple
-    removed: tuple
-    children: tuple
-
-    def __repr__(self):
-        return "LaminarNodeCoreset(%d ids, cap %d, %d layers, %d children)" % (
-            len(self.set_ids), self.cap, len(self.layers), len(self.children))
+    layers = _peel(ids, points.rows(ids), threshold, ell, zeta)
+    return LaminarNodeCoreset(frozenset(ids.tolist()), threshold, layers, ())
 
 
 @dataclass(frozen=True)
@@ -150,11 +146,6 @@ class CoresetResult:
         return isinstance(other, CoresetResult) and all(
             np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
-    @functools.cached_property
-    def source(self):
-        """The working set as a tuple of ints, ascending, built on first read."""
-        return tuple(self.source_array.tolist())
-
     @property
     def approx_log_factor(self):
         """Log-domain loss guarantee: 2*ell*log(zeta*ell)."""
@@ -168,14 +159,14 @@ class CoresetResult:
 def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     """Coreset for a partition constraint over the working set V.
 
-    Each group's share of V is peeled, with ell and the regime from
-    :func:`regime_of`.  In the low-rank regime (k <= dim, ell = k) the
-    threshold is 1, a single local optimum per group, and the size bound is
-    s*k.  In the high-rank regime (ell = dim < k) the threshold is the
-    group's own cap and the size bound is k*ell.  A cardinality constraint
-    is the partition of one group with cap k.  V becomes one ascending id
-    array whose rows are looked up once, and each group's block of rows is
-    gathered once.
+    Each group with a positive cap has its share of V peeled, with ell and
+    the regime from :func:`regime_of`.  In the low-rank regime (k <= dim,
+    ell = k) the threshold is 1, a single local optimum per group, and the
+    size bound is s*k.  In the high-rank regime (ell = dim < k) the
+    threshold is the group's own cap and the size bound is k*ell.  A
+    cardinality constraint is the partition of one group with cap k.  V
+    becomes one ascending id array whose rows are looked up once, and each
+    group's block of rows is gathered once.
     """
     if constraint.kind not in ("partition", "cardinality"):
         raise PreconditionError("partition_coreset needs a partition constraint")
@@ -189,7 +180,7 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     parts = {}
     for g, cap in enumerate(constraint.caps):
         share = labels == g
-        if (lowk or cap) and share.any():
+        if cap and share.any():  # a cap-0 group holds no element of any base
             parts[g] = _peel(ids[share], points.coords[rows[share]], 1 if lowk else cap, ell, zeta)
     layers = [layer for part in parts.values() for layer in part]
     chosen = frozenset().union(*(layer.ids for layer in layers))
@@ -232,8 +223,7 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     regime, ell = regime_of(k, points.dim)
     ids = distinct_ids(V)
     member, _ = membership(constraint, ids)
-    set_ids = functools.cache(constraint.set_ids)  # each set's frozenset is built once per coreset
-    warnings, peeled = [], {}  # peeled[i]: set i's layers, removed blocks and the children they touch
+    warnings, peeled = [], {}  # peeled[i]: set i's layers and the children they touch
     todo = [(i, "set%d" % i) for i in constraint.roots[::-1] if member[:, i].any()]  # sets to peel and warnings
     while todo:
         entry = todo.pop()
@@ -249,22 +239,19 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         if cap:  # only a search needs ell >= 1 and the rows; rank 0 gives ell 0
             check_search(points.dim, ell, zeta)
         layers = _peel(sub, points.rows(sub) if cap else None, cap, ell, zeta, child)
-        removed, met, then = [], [], []
+        met, then = [], []
         for layer_no, layer in enumerate(layers):
             if layer.degenerate:
                 then.append("%s layer %d is degenerate" % (path, layer_no))
-            block = set()
-            for pid, j in zip(layer.ids, child[np.searchsorted(sub, layer.ids)].tolist()):
-                block |= {pid} if j < 0 else set_ids(j)
+            for j in child[np.searchsorted(sub, layer.ids)].tolist():
                 if j >= 0 and j not in met:
                     met.append(j)
                     then.append((j, "%s/set%d" % (path, j)))
-            removed.append(frozenset(block))
-        peeled[i] = layers, tuple(removed), sorted(met)
+        peeled[i] = layers, sorted(met)
         todo += reversed(then)
     nodes, kept = {}, {}  # kept[i]: the layer ids of set i's subtree, until its parent takes them
-    for i, (layers, removed, met) in reversed(peeled.items()):
-        nodes[i] = LaminarNodeCoreset(set_ids(i), constraint.caps[i], layers, removed, tuple(nodes[j] for j in met))
+    for i, (layers, met) in reversed(peeled.items()):
+        nodes[i] = LaminarNodeCoreset(constraint.set_ids(i), constraint.caps[i], layers, tuple(nodes[j] for j in met))
         kept[i] = set().union(*(layer.ids for layer in layers), *(kept.pop(j) for j in met))
         if len(kept[i]) > (constraint.caps[i] * ell) ** constraint.depth[i]:
             raise InvariantError("laminar node size bound violated")
@@ -333,96 +320,66 @@ def compose(coresets):
     )
 
 
-def _best_replacement(points, sel, e, layers, blocks, profile, exhausted):
-    """Best f for e out of the first layer whose block (the id-set paired
-    with it in ``blocks``) S misses: the f maximizing mu_tilde(S - e + f),
-    smallest id on ties.  ``exhausted`` is the error when S meets every block.
+def _exchange(points, S, e, working_set, ids, node, profile):
+    """The exchange step: the best stand-in f for e from the first layer of e's node whose block S misses.
+
+    ``ids`` is the coreset and ``node`` the top node around e.  The walk
+    descends while e lies in a child's set.  That node's layers are disjoint,
+    each block (see ``removed``) holds its layer and the child sets it
+    touched, and e lies in none of them.  So a selection with at most cap
+    elements in the node's set, one of them e, misses a block entirely once
+    all cap layers ran, and f from that block's layer keeps mu_tilde from
+    dropping (and S - e + f feasible, since every set around f inside this
+    one lies in the untouched block).  f maximizes mu_tilde(S - e + f) over
+    the layer, smallest id on ties.  The default profile boosts ``ids``.
     """
-    for layer, block in zip(layers, blocks):
-        if not (sel & block):
-            break
-    else:
-        raise PreconditionError(exhausted)
+    sel = frozenset(S)
+    if e not in sel:
+        raise PreconditionError("element %r is not in S" % (e,))
+    if e not in working_set:
+        raise PreconditionError("element %r is not in the coreset working set" % (e,))
+    if e in ids:
+        raise PreconditionError("element %r is already in the coreset" % (e,))
+    if node is None:
+        raise PreconditionError("element %r is outside every family set, so it is always kept" % (e,))
+    while (inner := next((c for c in node.children if e in c.set_ids), None)) is not None:
+        node = inner
+    if len(sel & node.set_ids) > node.cap:
+        raise PreconditionError("S meets the set around element %r in %d > cap %d elements"
+                                % (e, len(sel & node.set_ids), node.cap))
+    if len(node.layers) < node.cap:
+        raise PreconditionError("exchange hypothesis violated: working set exhausted before cap layers")
+    layer = next((layer for layer, block in zip(node.layers, node.removed) if sel.isdisjoint(block)), None)
+    if layer is None:
+        raise PreconditionError("S meets every layer's block; exchange hypothesis violated")
+    if profile is None:
+        profile = WeightProfile(ids, layer.zeta, layer.ell, REGIME_HIGHK)
     base = sorted(sel - {e})
-    return max(sorted(layer.ids), key=lambda f: mu_tilde(points, base + [f], profile))
+    return max(layer.ids, key=lambda f: mu_tilde(points, base + [f], profile))
 
 
 def find_value_preserving_exchange(points, S, e, peeling, profile=None):
     """Replacement for e out of the first peeled layer that S misses.
 
-    Preconditions: e is in S and in the peeling's working set V but not in
-    its union U, and |S cap V| <= threshold.  Then some layer is disjoint
-    from S (the layers are disjoint and S spends one of its <= threshold
-    intersections on e itself), and the smallest-index such layer contains
-    an f with mu_tilde(S - e + f) >= mu_tilde(S); the returned f maximizes
-    mu_tilde over that layer, smallest id on ties.
+    ``peeling`` is a :func:`peeling_coreset` node.  Preconditions: e is in S
+    and in the peeling's working set V but not in its union U, and
+    |S cap V| <= threshold.  Then some layer is disjoint from S, and it holds
+    an f with mu_tilde(S - e + f) >= mu_tilde(S) (see :func:`_exchange`).
     """
-    sel = frozenset(S)
-    if e not in sel:
-        raise PreconditionError("element %r is not in S" % (e,))
-    vset = set(peeling.source)
-    if e not in vset:
-        raise PreconditionError("element %r is not in the peeling working set" % (e,))
-    if e in peeling.union:
-        raise PreconditionError("element %r is already in the coreset union" % (e,))
-    if len(sel & vset) > peeling.threshold:
-        raise PreconditionError(
-            "S meets the working set in %d > threshold %d elements"
-            % (len(sel & vset), peeling.threshold)
-        )
-    if profile is None:
-        profile = WeightProfile(peeling.union, peeling.zeta, peeling.ell, REGIME_HIGHK)
-    return _best_replacement(
-        points, sel, e, peeling.layers, [layer.id_set for layer in peeling.layers], profile,
-        "no layer is disjoint from S; exchange hypothesis violated",
-    )
-
-
-def _node_containing(nodes, e):
-    return next((node for node in nodes if e in node.set_ids), None)
+    return _exchange(points, S, e, peeling.set_ids, peeling.union, peeling, profile)
 
 
 def find_laminar_exchange(points, S, e, result, profile=None):
     """Replacement for e inside a laminar coreset, preserving feasibility.
 
-    ``result`` must come from :func:`laminar_coreset`.  Walking from the
-    maximal family set containing e: if e sits inside a removed block of
-    some layer, descend into the child set that swallowed it; otherwise
-    every one of the cap layers ran, their removed blocks are disjoint
-    subsets of the family set, and a feasible S (at most cap elements in
-    the set, one of them e outside all blocks) must miss some block
-    entirely.  Any f from that block's layer keeps mu_tilde from dropping,
-    and S - e + f stays feasible because every family set around f inside
-    this one lies inside the untouched block.
+    ``result`` must come from :func:`laminar_coreset`.  The walk starts at
+    the maximal family set containing e (see :func:`_exchange`); a feasible
+    S meets every set in at most its cap elements.
     """
     if result.kind != "laminar":
         raise PreconditionError("find_laminar_exchange needs a laminar CoresetResult")
-    sel = frozenset(S)
-    if e not in sel:
-        raise PreconditionError("element %r is not in S" % (e,))
-    if e not in set(result.source):
-        raise PreconditionError("element %r is not in the coreset working set" % (e,))
-    if e in result.ids:
-        raise PreconditionError("element %r is already in the coreset" % (e,))
-    node = _node_containing(result.structure["roots"].values(), e)
-    if node is None:
-        raise PreconditionError(
-            "element %r is outside every family set, so it is always kept" % (e,)
-        )
-    if profile is None:
-        profile = WeightProfile(result.ids, result.zeta, result.ell, REGIME_HIGHK)
-    while any(e in block for block in node.removed):
-        node = _node_containing(node.children, e)
-        if node is None:
-            raise PreconditionError("inconsistent coreset structure around element %r" % (e,))
-    if len(node.layers) < node.cap:
-        raise PreconditionError(
-            "exchange hypothesis violated: working set exhausted before cap layers"
-        )
-    return _best_replacement(
-        points, sel, e, node.layers, node.removed, profile,
-        "S meets every removed block of the family set; is S feasible?",
-    )
+    root = next((node for node in result.structure["roots"].values() if e in node.set_ids), None)
+    return _exchange(points, S, e, result.source_array, result.ids, root, profile)
 
 
 def coreset_to_json(result):

@@ -61,10 +61,6 @@ class LocalOptResult:
     swap_count: int
     degenerate: bool
 
-    @property
-    def id_set(self):
-        return frozenset(self.ids)
-
 
 def _nu_rows(rows):
     """Log squared volume of a stack of row vectors."""

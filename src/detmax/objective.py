@@ -56,26 +56,21 @@ def logsumexp(values):
     return top + math.log(sum(math.exp(v - top) for v in vals))
 
 
-def nu(points, W, ell=None):
+def nu(points, W):
     """Log squared volume of the vectors selected by ``W``.
 
     Parameters
     ----------
     points : PointSet
     W : sequence of ids, repeats allowed (a repeat forces -inf)
-    ell : expected size; defaults to len(W) and must match it
 
     Returns the log-determinant of the |W| x |W| inner-product matrix, which
     is -inf exactly when the selected vectors are linearly dependent.
     Requires |W| <= dim; the empty selection has value 0 (determinant 1).
     """
     sel = list(W)
-    if ell is None:
-        ell = len(sel)
-    if len(sel) != ell:
-        raise PreconditionError("nu: |W|=%d but ell=%d" % (len(sel), ell))
-    if ell > points.dim:
-        raise PreconditionError("nu: |W|=%d exceeds dim=%d" % (ell, points.dim))
+    if len(sel) > points.dim:
+        raise PreconditionError("nu: |W|=%d exceeds dim=%d" % (len(sel), points.dim))
     rows = points.rows(sel)
     return float(logdet_psd_batch((rows @ rows.T)[None])[0])
 
@@ -110,15 +105,14 @@ def objective_value(points, S):
     return nu(points, sel)
 
 
-def mu_cauchy_binet(points, S, ell=None):
-    """Recompute mu(S) as logsumexp of nu over all size-ell subsets of S.
+def mu_cauchy_binet(points, S):
+    """Recompute mu(S) as logsumexp of nu over all size-ell subsets of S, ell the dimension.
 
     Independent cross-check of :func:`mu`; |S| is capped at 20 because the
-    subset count explodes.  ``ell`` defaults to the dimension.
+    subset count explodes.
     """
     sel = sorted(S)
-    if ell is None:
-        ell = points.dim
+    ell = points.dim
     if len(sel) > ENUMERATION_CAP:
         raise GuardExceededError(
             "mu_cauchy_binet enumerates C(%d, %d) subsets; cap is |S| <= %d"

@@ -2,14 +2,13 @@
 
 The objective is the solver dispatch from the objective module: determinant
 of the k x k inner-product matrix while selections are smaller than the
-dimension, determinant of the d x d outer-product sum otherwise.  Both
-solvers build these matrices with one grow step, which extends a selection's
-matrix by one row.  The brute force route walks the lex tree of independent
-prefixes (guarded by DETMAX_ORACLE_CAP), so each prefix's matrix is grown
-once and shared by its extensions, and scores each chunk of bases in one
-vectorized batch through the same pivot rule as the scalar path, so batch
-and scalar evaluations cannot disagree about singularity.  Ties go to the
-lexicographically smallest base.
+dimension, determinant of the d x d outer-product sum otherwise.  The brute
+force route walks the lex tree of independent prefixes (guarded by
+DETMAX_ORACLE_CAP), so each prefix's matrix is grown once and shared by its
+extensions, and scores each chunk of bases in one vectorized batch through
+the same pivot rule as the scalar path, so batch and scalar evaluations
+cannot disagree about singularity.  Ties go to the lexicographically
+smallest base.
 """
 
 import math
@@ -112,34 +111,28 @@ def greedy_constrained(points, constraint):
     """Grow a base one element at a time, maximizing the objective each step.
 
     Candidates that would break a cap are masked out; ties go to the
-    smallest id.  Each candidate's matrix grows from the picks' shared one
-    by the brute-force step: the Gram while the selection stays below the
-    dimension, the scatter from then on.  Once the rank is unreachable from
-    the current selection the result is marked infeasible and carries the
-    partial pick.  Note the greedy chain keeps extending through singular
-    selections (all gains -inf) because later picks can still restore full
-    rank.
+    smallest id.  Each candidate's matrix is one product of its rows: the
+    Gram while the selection stays below the dimension, the scatter from
+    then on.  Once the rank is unreachable from the current selection the
+    result is marked infeasible and carries the partial pick.  Note the
+    greedy chain keeps extending through singular selections (all gains
+    -inf) because later picks can still restore full rank.
     """
     ids = np.sort(points.id_array)
     member, caps = membership(constraint, ids)
     coords = points.coords[points.index(ids)]
     picks = []  # positions into ids, in pick order
-    mat, step = _grower(coords, False)
     for j in range(constraint.rank):
         blocked = member[:, member[picks].sum(0) >= caps].any(1)  # in a set already at its cap
         blocked[picks] = True
         cands = np.flatnonzero(~blocked)
         if not len(cands):
             return SolveResult(tuple(sorted(ids[picks].tolist())), -math.inf, False, "greedy")
-        if j + 1 == points.dim:  # from here on the scatter: build the picks' in pick order
-            mat, step = _grower(coords, True)
-            for i in range(j):
-                mat = step(mat, np.array([picks[:i]], dtype=np.intp), np.array(picks[i:i + 1]))
-        prefix = np.broadcast_to(np.array(picks, dtype=np.intp), (len(cands), j))
-        mats = step(np.broadcast_to(mat, (len(cands),) + mat.shape[1:]), prefix, cands)
-        top = int(np.argmax(logdet_psd_batch(mats)))
-        picks.append(int(cands[top]))
-        mat = mats[top:top + 1].copy()  # a view would keep every candidate's matrix alive
+        rows = np.empty((len(cands), j + 1), dtype=np.intp)
+        rows[:, :-1], rows[:, -1] = picks, cands
+        sel = coords[rows]  # (b, j + 1, d)
+        spec = "bki,bkj->bij" if j + 1 >= points.dim else "bki,bli->bkl"  # scatter, else Gram
+        picks.append(int(cands[np.argmax(logdet_psd_batch(np.einsum(spec, sel, sel)))]))
     final = tuple(sorted(ids[picks].tolist()))
     if not is_independent(constraint, final):
         raise InvariantError("greedy picked %r, which breaks a cap" % (final,))

@@ -12,6 +12,7 @@ from detmax.localsearch import check_search
 from detmax import (
     CardinalityConstraint,
     DEFAULT_ZETA,
+    InstanceSpec,
     LaminarConstraint,
     PartitionConstraint,
     PointSet,
@@ -34,6 +35,7 @@ from detmax import (
     laminar_coreset,
     mu_tilde,
     partition_coreset,
+    random_instance,
     regime_of,
     peeling_coreset,
     verify_local_opt,
@@ -112,6 +114,18 @@ class TestPartitionCoreset:
         # per-group layer structure: at most cap_g layers of <= ell each
         for layer_ids in cs.layer_lists():
             assert len(layer_ids) <= 2
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_cap_0_groups_are_not_peeled(self, k):
+        # no base holds a point of group 1; at k = 2 <= d = 4 (one local
+        # optimum per group) its points 9 and 19 once made the coreset
+        spec = InstanceSpec("random", 20, 4, k, {"type": "partition", "caps": [k, 0]}, 3)
+        ps, constraint = random_instance(spec)[:2]
+        cs = partition_coreset(ps, ps.ids, constraint)
+        assert {int(constraint.ground_labels[pid]) for pid in cs.ids} == {0}
+        assert cs.declared_bound == (2 * k if k <= 4 else k * 4)
+        if k == 2:
+            assert (sorted(cs.ids), cs.layers) == ([2, 16], ((2, 16),))
 
     def test_restricted_to_v(self):
         groups = [i % 2 for i in range(20)]
@@ -236,6 +250,31 @@ class TestValuePreservingExchange:
             sel = tuple(outside[:2])
             with pytest.raises(PreconditionError):
                 find_value_preserving_exchange(ps, sel, sel[0], peel)
+
+
+def test_peeling_is_the_node_of_one_set():
+    # one walk serves both exchanges: the peeling of V with threshold t and
+    # the laminar coreset of the family {(V, t)} are the same node
+    pairs = 0
+    for seed in range(6):
+        ps = _rand_ps(90 + seed, 9, 2)
+        peel = peeling_coreset(ps, ps.ids, 3, 2)
+        cs = laminar_coreset(ps, ps.ids, LaminarConstraint([(ps.ids, 3)], ps.ids))
+        root = cs.structure["roots"][0]
+        assert (root.set_ids, root.cap, root.children) == (peel.set_ids, peel.cap, peel.children)
+        assert [layer.ids for layer in root.layers] == [layer.ids for layer in peel.layers]
+        assert root.removed == peel.removed == tuple(frozenset(layer.ids) for layer in peel.layers)
+        assert cs.ids == peel.union
+        for sel in combinations(ps.ids, 3):
+            for e in sorted(set(sel) - peel.union):
+                f = find_value_preserving_exchange(ps, sel, e, peel)
+                assert f == find_laminar_exchange(ps, sel, e, cs) and f in peel.union
+                pairs += 1
+        sel = sorted(set(ps.ids) - peel.union) + [min(peel.union)]  # four elements of a set with cap 3
+        for call in (find_value_preserving_exchange, find_laminar_exchange):
+            with pytest.raises(PreconditionError, match="in 4 > cap 3 elements"):
+                call(ps, sel, sel[0], peel if call is find_value_preserving_exchange else cs)
+    assert pairs == 504
 
 
 def _chain_points(seed=60):

@@ -54,7 +54,7 @@ def test_greedy_and_local_opt(ps):
 
 def test_peeling(ps):
     pc = peeling_coreset(ps, IDS, 3, 2)
-    assert pc.source == tuple(sorted(IDS))
+    assert (pc.set_ids, pc.cap, pc.children) == (frozenset(IDS), 3, ())
     assert [layer.ids for layer in pc.layers] == [(2, 41), (60, 97), (20, 33)]
 
 
@@ -142,7 +142,6 @@ def test_id_arrays_in_python_ints_out(ps, make):
     constraint = make()
     from_list = build_coreset(ps, IDS, constraint)
     from_array = build_coreset(ps, np.array(IDS), constraint)
-    assert (from_array.ids, from_array.source, from_array.layers) == (
-        from_list.ids, from_list.source, from_list.layers)
-    fields = [from_array.ids, from_array.source, *from_array.layers]
-    assert all(type(i) is int for field in fields for i in field)
+    assert (from_array.ids, from_array.layers) == (from_list.ids, from_list.layers)
+    assert from_array.source_array.tolist() == from_list.source_array.tolist() == sorted(IDS)
+    assert all(type(i) is int for field in [from_array.ids, *from_array.layers] for i in field)

@@ -52,8 +52,6 @@ class TestNu:
 
     def test_ell_validation(self):
         with pytest.raises(PreconditionError):
-            nu(E1E2_MIX, [0, 1], ell=3)
-        with pytest.raises(PreconditionError):
             nu(E1E2_MIX, [0, 1, 2])  # more than dim vectors
 
     def test_empty_selection(self):
