@@ -37,25 +37,27 @@ import numpy as np
 
 from .errors import InvariantError, PreconditionError
 from .geometry import distinct_ids, int_column, is_count
-from .localsearch import DEFAULT_ZETA, check_search, search
+from .localsearch import DEFAULT_ZETA, check_search, gather, search
 from .localsearch import local_opt  # noqa: F401  bench/layers.py wraps coreset.local_opt; drop both together
 from .matroid import cover_number, ground_positions, membership
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde, regime_of
 
 
-def _peel(ids, X, threshold, ell, zeta, child=None):
-    """The layers: up to ``threshold`` disjoint local optima peeled out of the rows of X (ids ``ids``, ascending).
+def _peel(ids, rows, threshold, ell, zeta, child=None):
+    """The layers: up to ``threshold`` disjoint local optima peeled out of ``rows`` (ids ``ids``, ascending).
 
-    ``child`` labels each row's child set (-1 for none); a layer then also takes
-    out every row that shares a label with one of its members.
+    The rows are gathered into one block, and each layer masks the rows it
+    took.  ``child`` labels each row's child set (-1 for none); a layer then
+    also masks every row that shares a label with one of its members.
     """
+    cols, norms = gather(rows)
     alive = np.ones(len(ids), dtype=bool)
     layers = []
     for _ in range(threshold):
-        left = np.flatnonzero(alive)
-        if not len(left):
+        gone = np.flatnonzero(~alive)
+        if len(gone) == len(ids):
             break
-        layers.append(search(X[left], ids[left], ell, zeta))
+        layers.append(search(cols, norms, ids, ell, zeta, gone=gone))
         pos = np.searchsorted(ids, layers[-1].ids)
         alive[pos] = False
         if child is not None:
@@ -166,7 +168,7 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     threshold is the group's own cap and the size bound is k*ell.  A
     cardinality constraint is the partition of one group with cap k.  V
     becomes one ascending id array whose rows are looked up once, and each
-    group's block of rows is gathered once.
+    group's block of rows is gathered once and peeled by masking.
     """
     if constraint.kind not in ("partition", "cardinality"):
         raise PreconditionError("partition_coreset needs a partition constraint")
@@ -179,9 +181,9 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     rows = points.index(ids)
     parts = {}
     for g, cap in enumerate(constraint.caps):
-        share = labels == g
-        if cap and share.any():  # a cap-0 group holds no element of any base
-            parts[g] = _peel(ids[share], points.coords[rows[share]], 1 if lowk else cap, ell, zeta)
+        at = np.flatnonzero(labels == g) if cap else ()  # a cap-0 group holds no element of any base
+        if len(at):
+            parts[g] = _peel(ids[at], points.coords[rows[at]], 1 if lowk else cap, ell, zeta)
     layers = [layer for part in parts.values() for layer in part]
     chosen = frozenset().union(*(layer.ids for layer in layers))
     bound = len(constraint.caps) * k if lowk else k * ell
@@ -238,7 +240,7 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         cap = constraint.caps[i]
         if cap:  # only a search needs ell >= 1 and the rows; rank 0 gives ell 0
             check_search(points.dim, ell, zeta)
-        layers = _peel(sub, points.rows(sub) if cap else None, cap, ell, zeta, child)
+        layers = _peel(sub, points.rows(sub), cap, ell, zeta, child) if cap else ()
         met, then = [], []
         for layer_no, layer in enumerate(layers):
             if layer.degenerate:

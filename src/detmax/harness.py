@@ -20,7 +20,7 @@ from .coreset import build_coreset, compose
 from .errors import InvariantError, PreconditionError
 from .geometry import UNLABELED
 from .instances import InstanceSpec, random_instance
-from .localsearch import DEFAULT_ZETA
+from .localsearch import DEFAULT_ZETA, check_search
 from .matroid import oracle_cap
 from .objective import regime_of
 from .solver import brute_force_opt, json_float, solve_on_coreset
@@ -74,7 +74,7 @@ def _split_ids(points, m_parts, seed, split):
         part = points.labels % m_parts
     else:
         raise PreconditionError("split must be 'random' or 'by-group', got %r" % (split,))
-    return [points.id_array[part == p] for p in range(m_parts)]
+    return [points.id_array[np.flatnonzero(part == p)] for p in range(m_parts)]
 
 
 def run_distributed(
@@ -105,6 +105,7 @@ def run_distributed(
     k = constraint.rank
     d = points.dim
     regime, ell = regime_of(k, d)
+    check_search(d, ell, zeta)
     timings = {}
     t0 = time.perf_counter()
     part_ids = _split_ids(points, m_parts, seed, split)

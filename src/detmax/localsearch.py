@@ -6,6 +6,14 @@ member for one outsider multiplies the squared volume by more than zeta.
 Seeding is greedy (largest residual first), then best-improvement swaps run
 until no exchange clears the zeta threshold.
 
+A search runs over a block, a working set's rows gathered once as their
+d x n C-ordered copy X^T with the rows' squared norms, and a mask of the
+positions taken out; ``coreset`` peels each group's layers off one block.
+Masked and picked positions hold -inf, as greedy residuals or sweep ratios.
+Greedy residuals are not clamped at 0: one that never reached 0 is bitwise
+the clamped one, and when every live one is <= 0 the first live position is
+taken, as a clamp would tie them all at 0.  Log-dets read C-ordered rows.
+
 Determinism: each sweep adopts the exchange with the largest volume ratio,
 ties resolving to the smallest outgoing id, then the smallest incoming id.
 The rule sees ratios as computed in floating point: exchanges whose ratios
@@ -14,7 +22,7 @@ rounding, not by the ids.  Reruns on the same input produce the same
 selection.
 
 One sweep scores every exchange at once in closed form.  With A the rows of
-U, G = A A^T and C = (G^-1 A) X^T (ell x n: one product, on the view X^T),
+U, G = A A^T and C = (G^-1 A) X^T (ell x n: one product, on the block),
 the exchange of member e for outsider f multiplies the squared volume by
 
     det G(U - e + f) / det G(U) = C[e, f]^2 + |P_U^perp f|^2 * (G^-1)[e, e],
@@ -42,6 +50,7 @@ from .geometry import SINGULAR_PIVOT_REL, distinct_ids, is_count, logdet_psd_bat
 
 DEFAULT_ZETA = 1.01
 SWAP_LIMIT = 10**6
+NOTHING = np.zeros(0, dtype=np.intp)  # a mask of no position
 
 
 @dataclass(frozen=True)
@@ -62,11 +71,6 @@ class LocalOptResult:
     degenerate: bool
 
 
-def _nu_rows(rows):
-    """Log squared volume of a stack of row vectors."""
-    return float(logdet_psd_batch((rows @ rows.T)[None])[0])
-
-
 def check_search(dim, ell, zeta=DEFAULT_ZETA):
     """PreconditionError unless zeta >= 1 and ``ell`` is a positive int of at most ``dim``."""
     if not zeta >= 1.0:
@@ -77,31 +81,44 @@ def check_search(dim, ell, zeta=DEFAULT_ZETA):
         raise PreconditionError("ell=%d exceeds dim=%d" % (ell, dim))
 
 
-def _greedy_positions(X, take):
-    """Greedy max-residual selection of ``take`` row indices of X.
+def gather(rows):
+    """A working set's block: the d x n C-ordered copy of its (n, d) rows, and the rows' squared norms."""
+    return rows.T.copy(), np.einsum("ij,ij->i", rows, rows)
 
-    Ties go to the lowest index.  A vector whose residual is at most
+
+def _logdets(cols, selections):
+    """Log squared volumes of position lists of a block, each from a C-ordered copy of its rows."""
+    return logdet_psd_batch(np.stack([A @ A.T for A in (cols[:, pos].T.copy() for pos in selections)]))
+
+
+def _greedy_positions(cols, norms, take, gone=NOTHING):
+    """Greedy max-residual selection of ``take`` positions of the block, none in ``gone``.
+
+    Ties go to the lowest position.  A vector whose residual is at most
     SINGULAR_PIVOT_REL times its own squared norm counts as already spanned
     and extends the selection without extending the basis.
     """
-    d = X.shape[1]
-    res = np.einsum("ij,ij->i", X, X).astype(float)
-    cut = SINGULAR_PIVOT_REL * res
+    d = len(cols)
+    res = norms.copy()
+    res[gone] = -np.inf
+    cut = SINGULAR_PIVOT_REL * norms
     basis = np.zeros((take, d))
+    proj = np.empty_like(res)
     nbasis = 0
     picked = []
-    for _ in range(take):
-        pos = int(np.argmax(res))  # picked rows hold -inf
+    for step in range(1, take + 1):
+        pos = int(np.argmax(res))  # picked and masked positions hold -inf
+        if not res[pos] > 0:  # every live residual is <= 0: the first live position
+            pos = int(np.argmax(res > -np.inf))
         picked.append(pos)
-        if res[pos] > cut[pos] and nbasis < d:
-            v = X[pos] - basis[:nbasis].T @ (basis[:nbasis] @ X[pos])
+        if step < take and res[pos] > cut[pos] and nbasis < d:  # the last pick updates nothing
+            x = cols[:, pos].copy()
+            v = x - basis[:nbasis].T @ (basis[:nbasis] @ x)
             norm = float(np.linalg.norm(v))
             if norm * norm > cut[pos]:
                 basis[nbasis] = v / norm
-                res -= np.square(X @ basis[nbasis])
+                res -= np.square(np.matmul(basis[nbasis], cols, out=proj), out=proj)
                 nbasis += 1
-                np.maximum(res, 0.0, out=res)
-                res[picked] = -np.inf
         res[pos] = -np.inf
     return picked
 
@@ -115,27 +132,28 @@ def greedy_init(points, V, ell):
     """
     check_search(points.dim, ell)
     ids = distinct_ids(V)
-    return tuple(ids[_greedy_positions(points.rows(ids), min(ell, len(ids)))].tolist())
+    return tuple(ids[_greedy_positions(*gather(points.rows(ids)), min(ell, len(ids)))].tolist())
 
 
-def _exchange_ratios(X, cur_pos):
-    """det G(U - e + f) / det G(U) for member e = cur_pos[i] and every row f of X, as an ell x n array."""
-    A = X[cur_pos]
+def _exchange_ratios(cols, norms, cur_pos):
+    """det G(U - e + f) / det G(U) for member e = cur_pos[i] and every position f of the block, as an ell x n array."""
+    A = cols[:, cur_pos].T.copy()
     g_inv = np.linalg.inv(A @ A.T)
-    Ct = (g_inv @ A) @ X.T
-    if len(cur_pos) == X.shape[1]:  # span(U) is all of R^d: no outsider has a residual
+    Ct = (g_inv @ A) @ cols
+    if len(cur_pos) == len(cols):  # span(U) is all of R^d: no outsider has a residual
         return np.square(Ct, out=Ct)
-    resid = np.maximum(np.einsum("ij,ij->i", X, X) - np.einsum("ij,ij->j", A @ X.T, Ct), 0.0)
+    resid = np.maximum(norms - np.einsum("ij,ij->j", A @ cols, Ct), 0.0)
     return Ct * Ct + np.diag(g_inv)[:, None] * resid
 
 
-def _swap_sweeps(X, history, zeta, swap_limit):
+def _swap_sweeps(cols, norms, gone, history, zeta, swap_limit):
     """Append each accepted selection to ``history`` until no exchange clears zeta."""
     cur_pos = history[-1]
     members = np.arange(len(cur_pos))
     while True:
-        ratio = _exchange_ratios(X, cur_pos)
+        ratio = _exchange_ratios(cols, norms, cur_pos)
         ratio[:, cur_pos] = -np.inf
+        ratio[:, gone] = -np.inf
         into = ratio.argmax(axis=1)  # the best outsider for each member; ties: smallest in id
         best = ratio[members, into]
         j = int(np.argmax(best))  # ties: smallest out id
@@ -147,43 +165,46 @@ def _swap_sweeps(X, history, zeta, swap_limit):
             raise SwapLimitError("local search exceeded %d accepted swaps" % swap_limit)
 
 
-def _cut_at_singular(X, history, stop):
+def _cut_at_singular(cols, history, stop):
     """Drop what follows the first selection of volume zero among ``history[1:stop]``.
 
     One batched log-det scores them all.  Returns whether one was found.
     """
     if stop < 2:
         return False
-    vals = logdet_psd_batch(np.stack([X[pos] @ X[pos].T for pos in history[1:stop]]))
+    vals = _logdets(cols, history[1:stop])
     hits = np.flatnonzero(vals == -np.inf)
     if len(hits):
         del history[hits[0] + 2:]
     return len(hits) > 0
 
 
-def search(X, ids, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
-    """Greedy seeding plus best-improvement swaps over the rows of X, to a zeta local optimum.
+def search(cols, norms, ids, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT, gone=NOTHING):
+    """Greedy seeding plus best-improvement swaps over a block, to a zeta local optimum.
 
-    ``ids`` holds the id of each row of X, ascending, so that the lowest row
-    wins a tie; ``ell`` is at most X's width.  See :func:`local_opt`.
+    ``cols`` and ``norms`` come from :func:`gather`, and ``gone`` holds the
+    distinct masked positions.  ``ids`` holds the id of each position,
+    ascending, so that the lowest wins a tie; ``ell`` is at most the block's
+    height.  See :func:`local_opt`.
     """
-    take = min(ell, len(X))
-    history = [sorted(_greedy_positions(X, take))]
-    val = _nu_rows(X[history[0]])
-    if val > -math.inf and len(X) > take:
+    live = len(ids) - len(gone)
+    take = min(ell, live)
+    history = [sorted(_greedy_positions(cols, norms, take, gone))]
+    val = float(_logdets(cols, history[:1])[0])
+    if val > -math.inf and live > take:
         try:
-            _swap_sweeps(X, history, zeta, swap_limit)
+            _swap_sweeps(cols, norms, gone, history, zeta, swap_limit)
         except (SwapLimitError, np.linalg.LinAlgError) as exc:
             # the search ends at a singular selection before any later sweep
             # fails; the selection that tripped the swap limit is not scored
-            if not _cut_at_singular(X, history, len(history) - isinstance(exc, SwapLimitError)):
+            if not _cut_at_singular(cols, history, len(history) - isinstance(exc, SwapLimitError)):
                 raise
             val = -math.inf
         else:
-            if _cut_at_singular(X, history, len(history) - 1):
+            if _cut_at_singular(cols, history, len(history) - 1):
                 val = -math.inf
             elif len(history) > 1:
-                val = _nu_rows(X[history[-1]])
+                val = float(_logdets(cols, history[-1:])[0])
     swaps = len(history) - 1
     return LocalOptResult(tuple(ids[history[-1]].tolist()), val, ell, zeta, swaps, val == -math.inf)
 
@@ -206,7 +227,7 @@ def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
     """
     check_search(points.dim, ell, zeta)
     ids = distinct_ids(V)
-    return search(points.rows(ids), ids, ell, zeta, swap_limit)
+    return search(*gather(points.rows(ids)), ids, ell, zeta, swap_limit)
 
 
 def verify_local_opt(points, V, selection, zeta, slack=1e-9):

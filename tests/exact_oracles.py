@@ -3,10 +3,19 @@
 Bareiss fraction-free elimination over Python ints/Fractions gives the
 determinant of an integer (or rational) matrix with zero rounding error, so
 integer-coordinate instances have unambiguous ground truth.
+
+``reference_peel`` is the peeling as it was written before working sets
+became masked blocks: a copy of the rows left for every layer, and greedy
+residuals clamped at 0.  On inputs whose arithmetic is exact, or free of
+near-ties, the masked peel must reproduce it layer for layer.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from detmax.geometry import SINGULAR_PIVOT_REL, logdet_psd_batch
 
 
 def bareiss_det(rows):
@@ -58,3 +67,71 @@ def exact_log(value):
     if frac <= 0:
         raise ValueError("need a positive value, got %s" % frac)
     return math.log(frac.numerator) - math.log(frac.denominator)
+
+
+def _clamped_greedy(X, take):
+    """Greedy max-residual positions of X, residuals clamped at 0 and picked rows reset to -inf."""
+    res = np.einsum("ij,ij->i", X, X)
+    cut = SINGULAR_PIVOT_REL * res
+    basis = np.zeros((take, X.shape[1]))
+    nbasis = 0
+    picked = []
+    for _ in range(take):
+        pos = int(np.argmax(res))
+        picked.append(pos)
+        if res[pos] > cut[pos] and nbasis < X.shape[1]:
+            v = X[pos] - basis[:nbasis].T @ (basis[:nbasis] @ X[pos])
+            norm = float(np.linalg.norm(v))
+            if norm * norm > cut[pos]:
+                basis[nbasis] = v / norm
+                res = np.maximum(res - (X @ basis[nbasis]) ** 2, 0.0)
+                nbasis += 1
+                res[picked] = -np.inf
+        res[pos] = -np.inf
+    return picked
+
+
+def _copy_search(X, ids, ell, zeta):
+    """(ids, value, degenerate, swap_count) of greedy plus best swaps over the rows of X, each swap scored."""
+    take = min(ell, len(X))
+    cur = sorted(_clamped_greedy(X, take))
+    value = lambda pos: float(logdet_psd_batch((X[pos] @ X[pos].T)[None])[0])  # noqa: E731
+    val, swaps = value(cur), 0
+    norms = np.einsum("ij,ij->i", X, X)
+    while val > -math.inf and len(X) > take:
+        A = X[cur]
+        g_inv = np.linalg.inv(A @ A.T)
+        C = (g_inv @ A) @ X.T
+        ratio = C * C
+        if take < X.shape[1]:
+            ratio += np.diag(g_inv)[:, None] * np.maximum(norms - np.einsum("ij,ij->j", A @ X.T, C), 0.0)
+        ratio[:, cur] = -np.inf
+        into = ratio.argmax(axis=1)
+        best = ratio[np.arange(take), into]
+        j = int(np.argmax(best))
+        if not best[j] > zeta:
+            break
+        cur = sorted(cur[:j] + cur[j + 1:] + [int(into[j])])
+        val, swaps = value(cur), swaps + 1
+    return tuple(ids[cur].tolist()), val, val == -math.inf, swaps
+
+
+def reference_peel(ids, X, threshold, ell, zeta, child=None):
+    """Up to ``threshold`` layers peeled out of the rows X (ids ``ids``, ascending), copying the rows left per layer.
+
+    ``child`` labels each row's child set (-1 for none), and a layer also
+    takes out every row sharing a label with one of its members.  Each layer
+    comes back as (ids, value, degenerate, swap_count).
+    """
+    alive = np.ones(len(ids), dtype=bool)
+    layers = []
+    for _ in range(threshold):
+        left = np.flatnonzero(alive)
+        if not len(left):
+            break
+        layers.append(_copy_search(X[left], ids[left], ell, zeta))
+        pos = np.searchsorted(ids, layers[-1][0])
+        alive[pos] = False
+        if child is not None:
+            alive[np.isin(child, child[pos][child[pos] >= 0])] = False
+    return layers

@@ -5,6 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from exact_oracles import reference_peel
+
 import detmax.coreset as coreset
 import detmax.matroid as matroid
 from detmax.geometry import distinct_ids
@@ -33,6 +35,7 @@ from detmax import (
     is_base,
     is_independent,
     laminar_coreset,
+    local_opt,
     mu_tilde,
     partition_coreset,
     random_instance,
@@ -488,9 +491,10 @@ def _ref_node(points, ids, member, c, i, ell, zeta, warnings, path):
     kids = np.array(c.children_of(i), dtype=np.int64)
     child = member[:, kids] @ (kids + 1) - 1
     cap = c.caps[i]
+    layers = ()
     if cap:
         check_search(points.dim, ell, zeta)
-    layers = coreset._peel(ids, points.rows(ids) if cap else None, cap, ell, zeta, child)
+        layers = coreset._peel(ids, points.rows(ids), cap, ell, zeta, child)
     removed, children = [], {}
     for layer_no, layer in enumerate(layers):
         if layer.degenerate:
@@ -590,6 +594,99 @@ def test_laminar_coreset_against_reference():
         seen["degenerate"] += len(want) > 2 and bool(want[2])
         seen["error"] += len(want) == 2
     assert seen.pop("cover") == {1, 2, 3, 4} and min(seen.values()) >= 10, seen
+
+
+def _peel_rows(rng, n, d):
+    """Gaussian rows, some of them zero, or rows that are +-2**j times an axis vector.
+
+    Axis rows keep every product exact, so their rank deficits, repeated
+    rows and zero rows are decided by the tie rules in both peels, not by
+    rounding; Gaussian rows have no near-ties.
+    """
+    if rng.random() < 0.5:
+        X = rng.standard_normal((n, d))
+        X[rng.random(n) < 0.2] = 0.0
+        return X
+    X = np.zeros((n, d))
+    rank = int(rng.integers(0, d + 1))
+    for row in X[rng.random(n) < 0.8] if rank else ():
+        row[rng.integers(rank)] = rng.choice([-1.0, 1.0]) * 2.0 ** int(rng.integers(-2, 3))
+    return X
+
+
+def _peel_constraint(rng, kind, ids, d):
+    """A cardinality, partition or laminar constraint over ``ids`` (laminar: roots with child sets)."""
+    if kind == "cardinality":
+        return CardinalityConstraint(int(rng.integers(1, min(len(ids), 2 * d + 1) + 1)), ids)
+    if kind == "partition":
+        s = int(rng.integers(1, 4))
+        return PartitionConstraint([int(c) for c in rng.integers(0, 2 * d, s)],
+                                   {int(i): int(rng.integers(s)) for i in ids})
+    sets = []
+    for root in np.array_split(rng.permutation(ids), int(rng.integers(1, 3))):
+        if len(root):
+            cap = int(rng.integers(1, 2 * d + 1))
+            sets.append((root.tolist(), cap))
+            for kid in np.array_split(root, int(rng.integers(1, 4))):
+                if len(kid) and rng.random() < 0.7:
+                    sets.append((kid.tolist(), int(rng.integers(0, cap))))
+    return LaminarConstraint(sets, ids)
+
+
+def test_masked_peel_matches_the_copying_reference(monkeypatch):
+    # every _peel call of a build is checked against the peel that copies
+    # the rows left for each layer and clamps greedy residuals at 0
+    real = coreset._peel
+    seen = {"cardinality": 0, "partition": 0, "laminar": 0, "child sets": 0, "degenerate": 0, "|V| < ell": 0,
+            "swaps": 0}
+
+    def both(ids, rows, threshold, ell, zeta, child=None):
+        got = real(ids, rows, threshold, ell, zeta, child)
+        want = reference_peel(ids, rows, threshold, ell, zeta, child)
+        assert [(layer.ids, layer.value, layer.degenerate, layer.swap_count) for layer in got] == want
+        seen["child sets"] += child is not None and bool((child >= 0).any())
+        seen["degenerate"] += any(layer.degenerate for layer in got)
+        seen["|V| < ell"] += len(ids) < ell
+        seen["swaps"] += sum(layer.swap_count for layer in got)
+        return got
+
+    monkeypatch.setattr(coreset, "_peel", both)
+    rng = np.random.default_rng(26)
+    for trial in range(300):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        ids = np.sort(rng.choice(3 * n, n, replace=False))
+        ps = PointSet(d, list(zip(ids.tolist(), _peel_rows(rng, n, d), [None] * n)))
+        kind = ("cardinality", "partition", "laminar")[trial % 3]
+        c = _peel_constraint(rng, kind, ids, d)
+        if c.rank:
+            V = ids if rng.random() < 0.7 else rng.choice(ids, int(rng.integers(1, n + 1)), replace=False)
+            build_coreset(ps, V, c)
+            seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_local_opt_and_partition_coreset_raise_no_floating_point_error():
+    # picked and masked rows carry -inf through greedy and the sweeps: no
+    # NaN, no inf - inf, no overflow on ordinary-scale inputs, degenerate or not
+    with np.errstate(all="raise"):
+        for seed in range(24):
+            rng = np.random.default_rng(400 + seed)
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 7))
+            X = rng.standard_normal((n, d))
+            shape = seed % 4
+            if shape == 1:  # rank below d
+                r = int(rng.integers(0, d))
+                X = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+            elif shape == 2:
+                X[rng.random(n) < 0.4] = 0.0
+            elif shape == 3:
+                X = X[rng.integers(0, max(1, n // 3), n)]
+            ps = PointSet(d, [(i, X[i], int(rng.integers(3))) for i in range(n)])
+            for ell in range(1, d + 1):
+                local_opt(ps, ps.ids, ell)
+            c = PartitionConstraint([int(c) for c in rng.integers(0, d + 2, 3)], dict(zip(ps.ids, ps.labels.tolist())))
+            if c.rank:
+                partition_coreset(ps, ps.ids, c)
 
 
 class TestCoresetJson:

@@ -260,6 +260,14 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_rank_0_run_exits_2_as_coreset_does(self, tmp_path, capsys):
+        # rank 0 gives ell 0: run refused it only after the coreset stage, in a math domain error
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"constraint": {"caps": [1, 1, 1], "type": "partition"}, "dim": 3, "points": []}))
+        for command in ("coreset", "run"):
+            assert main([command, "--instance", str(path), "--out", str(tmp_path / "out.json")]) == 2
+            assert capsys.readouterr().err == "error: ell must be a positive int, got 0\n"
+
     def test_gen_laminar_takes_k_from_the_family(self, tmp_path):
         out = tmp_path / "lam.json"
         sets = json.dumps([{"ids": [0, 1, 2], "cap": 1}])

@@ -20,7 +20,7 @@ from detmax.localsearch import (
     LocalOptResult,
     _exchange_ratios,
     _greedy_positions,
-    _nu_rows,
+    gather,
     search,
 )
 
@@ -42,13 +42,33 @@ def _brute_best(points, ids, ell):
     return max(nu(points, list(c)) for c in combinations(sorted(ids), ell))
 
 
+def _nu_rows(rows):
+    """Log squared volume of a stack of row vectors, through ``localsearch.logdet_psd_batch`` as it is at call time."""
+    return float(localsearch.logdet_psd_batch((rows @ rows.T)[None])[0])
+
+
+def _greedy(X, take):
+    """``_greedy_positions`` over the block of the rows of X, nothing masked."""
+    return _greedy_positions(*gather(X), take)
+
+
+def _search(X, ids, ell, **kw):
+    """``search`` over the block of the rows of X, nothing masked."""
+    return search(*gather(X), ids, ell, **kw)
+
+
 def _reference_greedy(X, take):
     """Greedy max-residual picks with a fresh availability mask on every pick.
 
     ``_greedy_positions`` must pick the same rows: it keeps one residual
-    array, updated in place, with -inf on the rows already picked.
+    array, updated in place, unclamped, with -inf on the rows already
+    picked.  Projections are taken against the d x n copy of X, as the
+    block holds it: once the picks span the rows, the residuals left are
+    rounding noise, and which of them is largest depends on the product's
+    layout.
     """
     n, d = X.shape
+    cols = X.T.copy()
     res = np.einsum("ij,ij->i", X, X).astype(float)
     cut = SINGULAR_PIVOT_REL * res
     basis = np.zeros((take, d))
@@ -66,7 +86,7 @@ def _reference_greedy(X, take):
                 q = v / norm
                 basis[nbasis] = q
                 nbasis += 1
-                res = np.maximum(res - (X @ q) ** 2, 0.0)
+                res = np.maximum(res - (q @ cols) ** 2, 0.0)
     return picked
 
 
@@ -191,13 +211,68 @@ class TestGreedyAgainstReference:
         for seed in range(64):
             X, takes = _greedy_input(kind, seed)
             for name, take in takes.items():
-                assert _greedy_positions(X, take) == _reference_greedy(X, take), (seed, name)
+                assert _greedy(X, take) == _reference_greedy(X, take), (seed, name)
 
     def test_zero_and_duplicate_rows_in_one_input(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
         for take in range(1, len(X) + 1):
-            assert _greedy_positions(X, take) == _reference_greedy(X, take)
-        assert _greedy_positions(X, len(X)) == [4, 1, 0, 2, 3, 5]
+            assert _greedy(X, take) == _reference_greedy(X, take)
+        assert _greedy(X, len(X)) == [4, 1, 0, 2, 3, 5]
+
+
+class TestUnclampedGreedy:
+    def test_all_live_residuals_at_most_zero_take_the_first_live_row(self):
+        # rows that are multiples of one vector: once the largest is picked,
+        # every other residual is rounding noise around 0 and stays below the
+        # cut, so no basis vector is added; where all of it is <= 0, a clamp
+        # ties every live row at 0 and the picks go in position order
+        hits = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(3, 30)), int(rng.integers(2, 6))
+            X = rng.standard_normal(n)[:, None] * rng.standard_normal(d)
+            cols, norms = gather(X)
+            first = int(np.argmax(norms))
+            left = norms - np.square(cols[:, first] / np.linalg.norm(cols[:, first]) @ cols)
+            left[first] = -np.inf
+            picks = _greedy(X, n)
+            assert picks == _reference_greedy(X, n), seed
+            if left.max() <= 0 and int(np.argmax(left)) != int(np.argmax(left > -np.inf)):
+                assert picks == [first] + [p for p in range(n) if p != first], seed
+                hits += 1
+        assert hits >= 5
+
+    def test_zero_rows_and_scalar_multiples(self):
+        for seed in range(40):
+            rng = np.random.default_rng(100 + seed)
+            n, d = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+            directions = rng.standard_normal((int(rng.integers(1, d + 1)), d))
+            X = rng.standard_normal(n)[:, None] * directions[rng.integers(0, len(directions), n)]
+            X[rng.random(n) < 0.3] = 0.0
+            for take in range(1, n + 1):
+                assert _greedy(X, take) == _reference_greedy(X, take), (seed, take)
+        # exact arithmetic: two axis vectors, multiples of them, and zero rows
+        X = np.array([[0.0, 0.0], [0.0, -2.0], [3.0, 0.0], [0.0, 4.0], [0.0, 0.0], [0.0, 1.0], [-6.0, 0.0]])
+        assert _greedy(X, len(X)) == [6, 3, 0, 1, 2, 4, 5]
+
+    def test_a_masked_row_is_never_picked(self):
+        for seed in range(30):
+            rng = np.random.default_rng(200 + seed)
+            n, d = int(rng.integers(4, 30)), int(rng.integers(1, 6))
+            X = rng.standard_normal((n, d))
+            big = int(rng.integers(n))
+            X[big] *= 100.0  # the largest norm by far, and the best swap target
+            gone = np.union1d(rng.choice(n, int(rng.integers(0, n // 2)), replace=False), [big])
+            live = np.setdiff1d(np.arange(n), gone)
+            for take in range(1, min(d, len(live)) + 1):
+                picks = _greedy_positions(*gather(X), take, gone)
+                assert picks == live[_reference_greedy(X[live], take)].tolist(), (seed, take)
+            ids = 5 * np.arange(n) + 1
+            for ell in range(1, d + 1):
+                got = search(*gather(X), ids, ell, gone=gone)
+                assert not set(got.ids) & set(ids[gone].tolist())
+                want = _outcome(_search, X[live], ids[live], ell)
+                assert (got.ids, got.value, got.swap_count, got.degenerate) == want, (seed, ell)
 
 
 class TestLocalOpt:
@@ -313,7 +388,7 @@ class TestExchangeRatios:
             X = ps.rows(ps.ids)
             rng = np.random.default_rng(seed)
             cur = sorted(int(p) for p in rng.choice(n, ell, replace=False))
-            ratio = _exchange_ratios(X, cur).T
+            ratio = _exchange_ratios(*gather(X), cur).T
             base = nu(ps, cur)
             for j, e in enumerate(cur):
                 for f in range(n):
@@ -344,7 +419,7 @@ class TestExchangeRatios:
         ps = _ps([(0, 2, -2), (-2, -1, 1), (1, -1, -2), (2, -2, 0), (1, -1, -2)])
         assert sorted(greedy_init(ps, ps.ids, 3)) == [0, 1, 3]
         X = ps.rows(ps.ids)
-        ratio = _exchange_ratios(X, [0, 1, 3]).T
+        ratio = _exchange_ratios(*gather(X), [0, 1, 3]).T
         assert ratio[2, 0] == ratio[4, 0] == ratio[2, 2] == ratio[4, 2] == 2.25
         res = local_opt(ps, ps.ids, 3, 1.01)
         assert (res.ids, res.swap_count) == ((1, 2, 3), 1)
@@ -360,7 +435,7 @@ class TestAgainstReference:
                 X, ell = _search_input(kind, seed, full_rank)
                 ids = 3 * np.arange(len(X)) + 7
                 want = _outcome(_reference_search, X, ids, ell)
-                assert _outcome(search, X, ids, ell) == want, (full_rank, seed)
+                assert _outcome(_search, X, ids, ell) == want, (full_rank, seed)
                 swaps += want[2]
         assert swaps > 0
 
@@ -369,7 +444,7 @@ class TestAgainstReference:
         ids = np.arange(len(X))
         want = _outcome(_reference_search, X, ids, X.shape[1])
         assert want[2] >= 10
-        assert _outcome(search, X, ids, X.shape[1]) == want
+        assert _outcome(_search, X, ids, X.shape[1]) == want
 
     def test_deferred_stop_at_a_singular_selection(self, monkeypatch):
         # the loop reads no volume, so a selection scored singular midway
@@ -386,11 +461,11 @@ class TestAgainstReference:
             return true_logdet(mats, **kw)
 
         monkeypatch.setattr(localsearch, "logdet_psd_batch", recording)
-        plain = search(X, ids, ell)
+        plain = _search(X, ids, ell)
         assert plain.swap_count >= 10 and not plain.degenerate
         assert len(calls) <= 3
         del grams[:], calls[:]
-        assert _outcome(_reference_search, X, ids, ell) == _outcome(search, X, ids, ell)
+        assert _outcome(_reference_search, X, ids, ell) == _outcome(_search, X, ids, ell)
         assert len(calls) == plain.swap_count + 1 + 3
         marked = grams[5]  # the reference's Gram after its fifth swap
 
@@ -402,9 +477,9 @@ class TestAgainstReference:
         monkeypatch.setattr(localsearch, "logdet_psd_batch", singular_at_fifth)
         for limit in (SWAP_LIMIT, 5, 4):
             want = _outcome(_reference_search, X, ids, ell, swap_limit=limit)
-            assert _outcome(search, X, ids, ell, swap_limit=limit) == want
-        assert _outcome(search, X, ids, ell)[2:] == (5, True)
-        assert _outcome(search, X, ids, ell, swap_limit=4) is SwapLimitError
+            assert _outcome(_search, X, ids, ell, swap_limit=limit) == want
+        assert _outcome(_search, X, ids, ell)[2:] == (5, True)
+        assert _outcome(_search, X, ids, ell, swap_limit=4) is SwapLimitError
 
         # a sweep from the singular selection, where the reference stops,
         # may fail; its error does not escape
@@ -418,10 +493,10 @@ class TestAgainstReference:
             return true_ratios(*args)
 
         monkeypatch.setattr(localsearch, "_exchange_ratios", failing_sixth_sweep)
-        assert _outcome(search, X, ids, ell)[2:] == (5, True)
+        assert _outcome(_search, X, ids, ell)[2:] == (5, True)
         sweeps.clear()
         monkeypatch.setattr(localsearch, "logdet_psd_batch", true_logdet)
-        assert _outcome(search, X, ids, ell) is np.linalg.LinAlgError
+        assert _outcome(_search, X, ids, ell) is np.linalg.LinAlgError
 
 
 class TestVerifyLocalOpt:
