@@ -15,6 +15,14 @@ rule to residuals against each vector's own squared norm.  A pivot below
 the negative tolerance raises ``MatrixInvariantError`` when the matrix also
 has an eigenvalue below it, that is when the input was not PSD to begin
 with; otherwise it is rounding on a singular matrix and counts as zero.
+
+The batched Cholesky sweep runs on a batch-innermost (d, d, B) copy of the
+stack, so each step is a few whole-batch ufunc calls.  Its sums of products
+are added in one fixed order, the one numpy's two-operand ``np.einsum`` uses
+with two-lane vectors, and its trace in ``np.trace``'s pairwise order.  So
+its values are bitwise those of the einsum sweep it replaced, and no BLAS
+kernel or CPU dispatch can change them.  It reads only the diagonal and the
+lower triangle of each matrix.
 """
 
 import functools
@@ -293,6 +301,64 @@ def log_det_psd(m):
     return float(logdet_psd_batch(a[None, :, :])[0])
 
 
+def _pairwise_sum(terms):
+    """The sum over axis 0 of ``terms``, in the order np.add.reduce adds a contiguous axis (numpy's pairwise sum).
+
+    A run of at most 128 rows is added from 0 in order when it is shorter
+    than 8, else into 8 running sums that are folded as a tree before the
+    leftover rows are added.  A longer run is cut in two, the first part a
+    multiple of 8 rows long, and the two sums are added; a stack stands in
+    for numpy's recursion.
+    """
+    sums, todo = [], [(0, len(terms), False)]
+    while todo:
+        lo, hi, halves_summed = todo.pop()
+        if halves_summed:
+            right = sums.pop()
+            sums.append(sums.pop() + right)
+        elif hi - lo > 128:
+            mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+            todo += [(lo, hi, True), (mid, hi, False), (lo, mid, False)]
+        else:
+            run = terms[lo:hi]
+            full = len(run) // 8 * 8
+            if full:
+                r = run[:8].copy()
+                for i in range(8, full, 8):
+                    r += run[i : i + 8]
+                total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            else:
+                total = np.zeros(terms.shape[1:])
+            for row in run[full:]:
+                total += row
+            sums.append(total)
+    return sums[0]
+
+
+def _lane_sum(products):
+    """The sum over axis 0 of ``products``, in the order np.einsum adds a two-operand product over a contiguous axis.
+
+    Even and odd terms go to two lanes.  Each full block of 8 terms is added
+    to the lanes last pair first, the pairs after the last full block in
+    order, and a final odd term to the even lane; then the lanes are added,
+    and 0.0 (so a zero sum is +0.0).  The lanes accumulate in place in
+    ``products``, which the caller hands over as a temporary.
+    """
+    n = len(products)
+    full = n // 8 * 8
+    pairs = [b + i for b in range(0, full, 8) for i in (6, 4, 2, 0)] + list(range(full, n - 1, 2))
+    if not pairs:
+        return products[0] + 0.0 if n else np.zeros(products.shape[1:])
+    lanes = products[pairs[0] : pairs[0] + 2]
+    for i in pairs[1:]:
+        lanes += products[i : i + 2]
+    if n % 2:
+        lanes[0] += products[-1]
+    total = lanes[0] + lanes[1]
+    total += 0.0
+    return total
+
+
 def logdet_psd_batch(mats, *, first=0):
     """Log-determinants of a stack of symmetric PSD matrices, shape (B, d, d).
 
@@ -300,7 +366,16 @@ def logdet_psd_batch(mats, *, first=0):
     :func:`log_det_psd` delegates here so batched oracles and scalar
     evaluations can never disagree on what counts as singular.  A matrix
     that is not PSD is named by its index plus ``first``, the position of
-    ``mats[0]`` in the caller's list.
+    ``mats[0]`` in the caller's list.  Only the diagonal and the lower
+    triangle are read.
+
+    The sweep factors a batch-innermost (d, d, B) copy, which is free when
+    ``mats`` is the (2, 0, 1) transpose of a C-ordered (d, d, B) array and
+    is made about 2**15 entries at a time otherwise.  Its sums of products
+    are added in np.einsum's order (:func:`_lane_sum`) and the trace in
+    np.trace's, so the values are bitwise those of the einsum sweep this
+    replaced.  Once a matrix is singular its later factor entries are held
+    at 0, so its leftover arithmetic can neither overflow nor turn into NaN.
     """
     a = np.asarray(mats, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -308,30 +383,34 @@ def logdet_psd_batch(mats, *, first=0):
     nbatch, d, _ = a.shape
     if nbatch == 0 or d == 0:
         return np.zeros(nbatch)
-    tr = np.trace(a, axis1=1, axis2=2)
+    laid = a.transpose(1, 2, 0)
+    if not laid.flags.c_contiguous:  # copied a block of matrices at a time, so its strided reads stay in cache
+        laid, step = np.empty((d, d, nbatch)), max(1, (1 << 15) // (d * d))
+        for b in range(0, nbatch, step):
+            laid[..., b : b + step] = a[b : b + step].transpose(1, 2, 0)
+    a = laid
+    tr = _pairwise_sum(a.reshape(d * d, nbatch)[:: d + 1])
     psd_tol = PSD_PIVOT_TOL * np.maximum(1.0, np.abs(tr) / d)
     out = np.zeros(nbatch)
     alive = np.ones(nbatch, dtype=bool)
-    low = np.zeros_like(a)
+    low = np.zeros((d, d, nbatch))  # low[k, i] is the factor's entry (i, k): column k is one contiguous block
     for j in range(d):
-        pivot = a[:, j, j] - np.einsum("bi,bi->b", low[:, j, :j], low[:, j, :j])
+        # row j of the factor against rows j.. of it: the pivot's sum, then the column's
+        dots = _lane_sum(low[:j, j:] * low[:j, j, None])
+        pivot = a[j, j] - dots[0]
         # a singular PSD matrix whose leading block is ill-conditioned can
         # round a pivot below -psd_tol; only an eigenvalue that far below 0
         # shows the input was not PSD, and the rounded pivot is then dead
-        for b in np.flatnonzero(alive & (pivot < -psd_tol)):
-            if np.linalg.eigvalsh(a[b])[0] < -psd_tol[b]:
+        negative = pivot < -psd_tol
+        for b in np.flatnonzero(alive & negative) if negative.any() else ():
+            if np.linalg.eigvalsh(a[:, :, b])[0] < -psd_tol[b]:
                 raise MatrixInvariantError(
                     "matrix %d is not PSD: Cholesky pivot %.3e at step %d" % (first + b, pivot[b], j)
                 )
-        dead = alive & (pivot <= SINGULAR_PIVOT_REL * np.maximum(a[:, j, j], 0.0))
-        out[dead] = -np.inf
-        alive &= ~dead
-        safe = np.where(alive, pivot, 1.0)
-        out[alive] += np.log(safe[alive])
-        root = np.sqrt(safe)
-        if j + 1 < d:
-            low[:, j + 1 :, j] = (
-                a[:, j + 1 :, j] - np.einsum("bik,bk->bi", low[:, j + 1 :, :j], low[:, j, :j])
-            ) / root[:, None]
-        low[:, j, j] = root
+        alive &= ~(pivot <= SINGULAR_PIVOT_REL * np.maximum(a[j, j], 0.0))
+        out += np.log(np.where(alive, pivot, 1.0))
+        if j + 1 < d:  # a dead matrix divides by inf, so its column is 0
+            col = np.subtract(a[j + 1 :, j], dots[1:], out=low[j, j + 1 :])
+            col /= np.sqrt(np.where(alive, pivot, np.inf))
+    out[~alive] = -np.inf
     return out

@@ -4,11 +4,12 @@ The objective is the solver dispatch from the objective module: determinant
 of the k x k inner-product matrix while selections are smaller than the
 dimension, determinant of the d x d outer-product sum otherwise.  The brute
 force route walks the lex tree of independent prefixes (guarded by
-DETMAX_ORACLE_CAP), so each prefix's matrix is grown once and shared by its
-extensions, and scores each chunk of bases in one vectorized batch through
-the same pivot rule as the scalar path, so batch and scalar evaluations
-cannot disagree about singularity.  Ties go to the lexicographically
-smallest base.
+DETMAX_ORACLE_CAP), so what each prefix shares with its extensions (its
+scatter while k >= d, its point rows while k < d) is grown once.  Grams are
+read from one table of pairwise inner products.  Each chunk of bases is
+scored in one vectorized batch through the same pivot rule as the scalar
+path, so batch and scalar evaluations cannot disagree about singularity.
+Ties go to the lexicographically smallest base.
 """
 
 import math
@@ -18,8 +19,9 @@ import numpy as np
 
 from .errors import InvariantError, PreconditionError
 from .geometry import logdet_psd_batch
+from .localsearch import check_search
 from .matroid import enumerate_bases, is_independent, membership, oracle_cap
-from .objective import objective_value
+from .objective import objective_value, regime_of
 
 
 def json_float(v):
@@ -54,13 +56,12 @@ class SolveResult:
 
 
 def _grower(coords, scatter):
-    """The empty selection's (1, ...) matrix and the step that extends a stack of selections by one row each.
+    """The empty selection's (1, ...) value and the step that extends a stack of selections by one row each.
 
-    ``step(mats, prefix, child)`` takes the matrices of the selections whose
+    ``step(grown, prefix, child)`` takes the values of the selections whose
     rows of ``coords`` are the (b, j) array ``prefix`` and returns those of
     each prefix plus its row in ``child``: the d x d scatter plus the child's
-    outer product, or the j x j Gram bordered by the child's inner products
-    with the prefix and its squared norm.
+    outer product, or, without ``scatter``, the rows themselves.
     """
     def outer(mats, prefix, child):
         x = coords[child]
@@ -68,35 +69,62 @@ def _grower(coords, scatter):
         out += mats
         return out
 
-    def border(mats, prefix, child):
-        b, j = prefix.shape
-        x = coords[child]
-        out = np.empty((b, j + 1, j + 1))
-        out[:, :j, :j] = mats
-        for i in range(j):  # a column at a time, so no (b, j, d) gather of the prefixes' rows
-            out[:, j, i] = out[:, i, j] = np.einsum("bd,bd->b", coords[prefix[:, i]], x)
-        out[:, j, j] = np.einsum("bd,bd->b", x, x)
-        return out
-
+    if not scatter:
+        return np.empty((1, 0), dtype=np.intp), lambda _, prefix, child: np.column_stack((prefix, child))
     d = coords.shape[1]
-    return (np.zeros((1, d, d)), outer) if scatter else (np.zeros((1, 0, 0)), border)
+    return np.zeros((1, d, d)), outer
+
+
+def _gram_stacks(coords, k):
+    """A function from a (b, k) array of rows of ``coords`` to the (b, k, k) Grams of those rows.
+
+    Every entry is read from one table of pairwise inner products, each the
+    same einsum sum over d that forming the Gram alone would take, so the
+    values are bitwise the same.  Each of the k(k+1)/2 lower-triangle
+    entries is taken for the whole chunk straight into its row of a
+    batch-innermost (k, k, b) array, the layout :func:`logdet_psd_batch`
+    factors; the upper triangle, which it does not read, is left 0.  The
+    table is n x n from k = 2 on, about 2 * C(n, 2) <= 2 * C(n, k) entries;
+    for k <= 1, C(n, 2) may pass the oracle cap, and the squared norms do.
+    """
+    n = len(coords)
+    if k <= 1:
+        table, stride = np.einsum("bd,bd->b", coords, coords), 0
+    else:
+        table, stride = np.einsum("pd,qd->pq", coords, coords).ravel(), n
+
+    def grams(rows):
+        rows = np.ascontiguousarray(rows.T)
+        scaled = rows * stride
+        out = np.zeros((k, k, rows.shape[1]))
+        for i, j in zip(*np.tril_indices(k)):
+            np.take(table, scaled[i] + rows[j], out=out[i, j])
+        return out.transpose(2, 0, 1)
+
+    return grams
 
 
 def brute_force_opt(points, constraint):
     """Enumerate every base and return the best (lex-smallest on ties).
 
-    The base walk grows each prefix's matrix once, from its parent's, and
-    hands the bases over chunk by chunk in lex order with their matrices: the
-    k x k Gram while k < d, the d x d scatter otherwise.  A later chunk takes
-    over only with a strictly larger value.  Raises GuardExceededError
-    through the base enumerator when C(n, k) exceeds the oracle cap.  No
-    bases at all gives an infeasible result; all-singular bases give a
-    feasible result with -inf.
+    The base walk grows each prefix once, from its parent, and hands the
+    bases over chunk by chunk in lex order; each chunk is scored in one
+    :func:`logdet_psd_batch` call.  While k >= d each prefix carries its
+    d x d scatter, grown by one outer product per element.  While k < d
+    each prefix carries its rows, and a chunk's k x k Grams are gathered
+    from one table of pairwise inner products.  A later chunk takes over
+    only with a strictly larger value.  Raises GuardExceededError through
+    the base enumerator when C(n, k) exceeds the oracle cap.  No bases at
+    all gives an infeasible result; all-singular bases give a feasible
+    result with -inf.
     """
-    scatter = constraint.rank >= points.dim
+    k = constraint.rank
+    scatter = k >= points.dim
+    walk = enumerate_bases(constraint, points, _grower(points.coords, scatter))  # checks the cap before the table
+    mats = (lambda grown: grown) if scatter else _gram_stacks(points.coords, k)
     best, best_val, seen = None, -math.inf, 0
-    for chunk, mats in enumerate_bases(constraint, points, _grower(points.coords, scatter)):
-        vals = logdet_psd_batch(mats, first=seen)
+    for chunk, grown in walk:
+        vals = logdet_psd_batch(mats(grown), first=seen)
         top = int(np.argmax(vals))
         if best is None or vals[top] > best_val:
             best, best_val = chunk[top], vals[top]
@@ -144,11 +172,13 @@ def solve_on_coreset(points, constraint, coreset_ids, method="auto"):
 
     ``method`` is "auto" (brute force when C(|coreset|, k) fits the oracle
     cap, greedy otherwise), or an explicit "brute" / "greedy".  An empty or
-    rank-deficient coreset comes back infeasible.
+    rank-deficient coreset comes back infeasible.  Rank 0 raises
+    PreconditionError, as it does for building a coreset: ell is 0.
     """
     ids = sorted(set(coreset_ids))
     if method not in ("auto", "brute", "greedy"):
         raise PreconditionError("method must be auto, brute, or greedy, got %r" % (method,))
+    check_search(points.dim, regime_of(constraint.rank, points.dim)[1])
     sub = points.restrict(ids)
     if method == "auto":  # C(n, k) is 0 when k > n
         method = "brute" if math.comb(len(ids), constraint.rank) <= oracle_cap() else "greedy"

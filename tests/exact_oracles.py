@@ -8,6 +8,12 @@ integer-coordinate instances have unambiguous ground truth.
 became masked blocks: a copy of the rows left for every layer, and greedy
 residuals clamped at 0.  On inputs whose arithmetic is exact, or free of
 near-ties, the masked peel must reproduce it layer for layer.
+
+``reference_logdet_psd_batch`` is the log-det sweep as it was written with
+einsum sums over a (B, d, d) stack, and ``reference_grower`` the base walk's
+matrix growth as it was, with each Gram grown by one border per element.
+The batch-innermost sweep and the pairwise-table Grams must reproduce them
+bit for bit.
 """
 
 import math
@@ -15,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from detmax.geometry import SINGULAR_PIVOT_REL, logdet_psd_batch
+from detmax.errors import MatrixInvariantError
+from detmax.geometry import PSD_PIVOT_TOL, SINGULAR_PIVOT_REL, logdet_psd_batch
 
 
 def bareiss_det(rows):
@@ -135,3 +142,76 @@ def reference_peel(ids, X, threshold, ell, zeta, child=None):
         if child is not None:
             alive[np.isin(child, child[pos][child[pos] >= 0])] = False
     return layers
+
+
+def reference_logdet_psd_batch(mats, *, first=0):
+    """Log-determinants of a stack of symmetric PSD matrices, shape (B, d, d).
+
+    This is the single source of truth for the pivot rule; the scalar
+    :func:`log_det_psd` delegates here so batched oracles and scalar
+    evaluations can never disagree on what counts as singular.  A matrix
+    that is not PSD is named by its index plus ``first``, the position of
+    ``mats[0]`` in the caller's list.
+    """
+    a = np.asarray(mats, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise MatrixInvariantError("expected shape (B, d, d), got %r" % (a.shape,))
+    nbatch, d, _ = a.shape
+    if nbatch == 0 or d == 0:
+        return np.zeros(nbatch)
+    tr = np.trace(a, axis1=1, axis2=2)
+    psd_tol = PSD_PIVOT_TOL * np.maximum(1.0, np.abs(tr) / d)
+    out = np.zeros(nbatch)
+    alive = np.ones(nbatch, dtype=bool)
+    low = np.zeros_like(a)
+    for j in range(d):
+        pivot = a[:, j, j] - np.einsum("bi,bi->b", low[:, j, :j], low[:, j, :j])
+        # a singular PSD matrix whose leading block is ill-conditioned can
+        # round a pivot below -psd_tol; only an eigenvalue that far below 0
+        # shows the input was not PSD, and the rounded pivot is then dead
+        for b in np.flatnonzero(alive & (pivot < -psd_tol)):
+            if np.linalg.eigvalsh(a[b])[0] < -psd_tol[b]:
+                raise MatrixInvariantError(
+                    "matrix %d is not PSD: Cholesky pivot %.3e at step %d" % (first + b, pivot[b], j)
+                )
+        dead = alive & (pivot <= SINGULAR_PIVOT_REL * np.maximum(a[:, j, j], 0.0))
+        out[dead] = -np.inf
+        alive &= ~dead
+        safe = np.where(alive, pivot, 1.0)
+        out[alive] += np.log(safe[alive])
+        root = np.sqrt(safe)
+        if j + 1 < d:
+            low[:, j + 1 :, j] = (
+                a[:, j + 1 :, j] - np.einsum("bik,bk->bi", low[:, j + 1 :, :j], low[:, j, :j])
+            ) / root[:, None]
+        low[:, j, j] = root
+    return out
+
+
+def reference_grower(coords, scatter):
+    """The empty selection's (1, ...) matrix and the step that extends a stack of selections by one row each.
+
+    ``step(mats, prefix, child)`` takes the matrices of the selections whose
+    rows of ``coords`` are the (b, j) array ``prefix`` and returns those of
+    each prefix plus its row in ``child``: the d x d scatter plus the child's
+    outer product, or the j x j Gram bordered by the child's inner products
+    with the prefix and its squared norm.
+    """
+    def outer(mats, prefix, child):
+        x = coords[child]
+        out = np.einsum("bi,bj->bij", x, x)
+        out += mats
+        return out
+
+    def border(mats, prefix, child):
+        b, j = prefix.shape
+        x = coords[child]
+        out = np.empty((b, j + 1, j + 1))
+        out[:, :j, :j] = mats
+        for i in range(j):  # a column at a time, so no (b, j, d) gather of the prefixes' rows
+            out[:, j, i] = out[:, i, j] = np.einsum("bd,bd->b", coords[prefix[:, i]], x)
+        out[:, j, j] = np.einsum("bd,bd->b", x, x)
+        return out
+
+    d = coords.shape[1]
+    return (np.zeros((1, d, d)), outer) if scatter else (np.zeros((1, 0, 0)), border)

@@ -20,7 +20,8 @@ from detmax import (
     run_distributed,
     solve_on_coreset,
 )
-from exact_oracles import exact_gram_det, exact_log
+from detmax.geometry import _lane_sum, _pairwise_sum
+from exact_oracles import exact_gram_det, exact_log, reference_logdet_psd_batch
 
 
 def _ps(vectors, groups=None):
@@ -137,9 +138,7 @@ class TestGramAndLogDet:
             a = rng.standard_normal((3, 3))
             mats.append(a @ a.T + 0.1 * np.eye(3))
         mats.append(np.zeros((3, 3)))
-        got = logdet_psd_batch(np.array(mats))
-        for val, m in zip(got, mats):
-            assert val == log_det_psd(m) or abs(val - log_det_psd(m)) < 1e-12
+        assert logdet_psd_batch(np.array(mats)).tolist() == [log_det_psd(m) for m in mats]
 
     def test_exact_oracle_agreement(self):
         # integer-coordinate point sets: float pipeline vs Bareiss fractions
@@ -166,6 +165,98 @@ class TestGramAndLogDet:
     def test_dynamic_range_is_not_singular(self):
         # each pivot is judged against its own diagonal, not against trace/d
         assert abs(log_det_psd(np.diag([1e14, 1.0])) - 14 * math.log(10.0)) < 1e-9
+
+
+def _rows(rng, b, k, d):
+    """(b, k, d) rows: normal, integer, +-2^j, zero and repeated rows; half the matrices' rows scaled 1e-60..1e60."""
+    x = rng.standard_normal((b, k, d))
+    kind = rng.integers(0, 5, (b, k))
+    x[kind == 1] = rng.integers(-3, 4, ((kind == 1).sum(), d))
+    powers = ((kind == 2).sum(), d)
+    x[kind == 2] = rng.choice([-1.0, 1.0], powers) * 2.0 ** rng.integers(-40, 40, powers)
+    x[kind == 3] = 0.0
+    x *= np.where(rng.random((b, 1, 1)) < 0.5, 1.0, 10.0 ** rng.uniform(-60, 60, (b, k, 1)))
+    x[kind == 4] = np.broadcast_to(x[:, :1], x.shape)[kind == 4]  # a copy of the matrix's first row
+    return x
+
+
+def _stacks(rng, b, m):
+    """A (b, m, m) stack of scatters of 1..2m rows and one of Grams of m rows in 1..2m dimensions."""
+    x = _rows(rng, b, int(rng.integers(1, 2 * m + 1)), m)
+    y = _rows(rng, b, m, int(rng.integers(1, 2 * m + 1)))
+    return np.einsum("bki,bkj->bij", x, x), np.einsum("bki,bli->bkl", y, y)
+
+
+def _outcome(logdet, mats, first):
+    """The values as raw bits, or the MatrixInvariantError message."""
+    try:
+        return logdet(mats, first=first).view(np.int64).tolist()
+    except MatrixInvariantError as exc:
+        return str(exc)
+
+
+class TestBatchSweepOrder:
+    """The batch-innermost sweep adds in np.einsum's and np.trace's orders, so it gives the einsum sweep's bits."""
+
+    @pytest.mark.parametrize("b", [1, 2, 17])
+    def test_matches_the_einsum_sweep_bit_for_bit(self, b):
+        rng = np.random.default_rng(b)
+        for m in range(1, MAX_DIM + 1):
+            for mats in _stacks(rng, b, m):
+                assert logdet_psd_batch(mats).view(np.int64).tolist() == \
+                    reference_logdet_psd_batch(mats).view(np.int64).tolist()
+
+    def test_a_full_chunk_matches_the_einsum_sweep_bit_for_bit(self):
+        rng = np.random.default_rng(16384)
+        for m in (1, 2, 3, 5, 8):
+            for mats in _stacks(rng, 16384, m):
+                assert np.array_equal(logdet_psd_batch(mats).view(np.int64),
+                                      reference_logdet_psd_batch(mats).view(np.int64))
+                # the layout the brute force hands over, a view of a batch-innermost array
+                laid = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+                assert np.array_equal(logdet_psd_batch(laid), logdet_psd_batch(mats))
+
+    def test_not_psd_raises_the_same_message(self):
+        rng = np.random.default_rng(5)
+        raised = 0
+        for m in (1, 2, 3, 4, 7, 16, 64):
+            for b in (1, 2, 17):
+                for mats in _stacks(rng, b, m):
+                    bad, step = int(rng.integers(b)), int(rng.integers(m))
+                    mats[bad, step, step] -= 2.0 * np.trace(mats[bad]) + 1.0
+                    got = _outcome(logdet_psd_batch, mats, 7)
+                    assert got == _outcome(reference_logdet_psd_batch, mats, 7)
+                    raised += isinstance(got, str)
+                    if isinstance(got, str):
+                        assert got.startswith("matrix %d is not PSD" % (7 + bad))
+        assert raised > 10
+
+    def test_lane_sum_adds_as_einsum_does(self):
+        rng = np.random.default_rng(0)
+        for n in range(65):
+            x = rng.standard_normal((33, n)) * 10.0 ** rng.integers(-8, 9, (33, n))
+            y = rng.standard_normal((33, n))
+            x[:3] = 0.0
+            y[1] = -1.0
+            got = _lane_sum(np.ascontiguousarray((x * y).T))
+            assert got.view(np.int64).tolist() == np.einsum("bi,bi->b", x, y).view(np.int64).tolist()
+
+    def test_pairwise_sum_adds_as_a_reduction_does(self):
+        rng = np.random.default_rng(1)
+        for n in list(range(140)) + [255, 256, 300, 1000]:
+            x = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-8, 9, (5, n))
+            assert np.array_equal(_pairwise_sum(np.ascontiguousarray(x.T)), np.add.reduce(x, axis=1))
+
+    def test_rank_deficient_scaled_stacks_raise_no_floating_point_error(self):
+        # a singular matrix's leftover sweep stays at 0; without that, its columns overflow or turn NaN
+        rng = np.random.default_rng(3)
+        with np.errstate(all="raise"):
+            for m in range(2, MAX_DIM + 1):
+                rank = int(rng.integers(1, m))
+                x = rng.standard_normal((8, rank, m)) * 10.0 ** rng.uniform(-60, 60, (8, rank, 1))
+                y = rng.standard_normal((8, m, rank)) * 10.0 ** rng.uniform(-60, 60, (8, m, 1))
+                for mats in (np.einsum("bki,bkj->bij", x, x), np.einsum("bki,bli->bkl", y, y)):
+                    assert (logdet_psd_batch(mats) == -np.inf).all()
 
 
 class TestLoaders:

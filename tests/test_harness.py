@@ -261,10 +261,11 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_rank_0_run_exits_2_as_coreset_does(self, tmp_path, capsys):
-        # rank 0 gives ell 0: run refused it only after the coreset stage, in a math domain error
+        # rank 0 gives ell 0: run refused it only after the coreset stage, in a math domain error,
+        # and solve answered the empty base
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"constraint": {"caps": [1, 1, 1], "type": "partition"}, "dim": 3, "points": []}))
-        for command in ("coreset", "run"):
+        for command in ("coreset", "run", "solve"):
             assert main([command, "--instance", str(path), "--out", str(tmp_path / "out.json")]) == 2
             assert capsys.readouterr().err == "error: ell must be a positive int, got 0\n"
 

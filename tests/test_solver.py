@@ -24,6 +24,7 @@ from detmax import (
     objective_value,
     solve_on_coreset,
 )
+from exact_oracles import reference_grower, reference_logdet_psd_batch
 
 
 def _rand_ps(seed, n, d, groups=None):
@@ -124,9 +125,10 @@ class TestBruteForce:
 
         monkeypatch.setattr(matroid, "_BATCH", 4)
         monkeypatch.setattr(solver, "logdet_psd_batch", indefinite_base_5)
-        ps = _rand_ps(2, 5, 2)
-        with pytest.raises(MatrixInvariantError, match="matrix 5 is not PSD"):
-            brute_force_opt(ps, CardinalityConstraint(2, ps.ids))
+        for d in (2, 3):  # k = 2: the scatter route, then the Gram route
+            ps = _rand_ps(2, 5, d)
+            with pytest.raises(MatrixInvariantError, match="matrix 5 is not PSD"):
+                brute_force_opt(ps, CardinalityConstraint(2, ps.ids))
 
     def test_ties_across_chunks_go_to_the_lex_smallest(self, monkeypatch):
         # chunks of 3 bases: (1, 2) and its exact tie (2, 4) come in
@@ -173,15 +175,47 @@ class TestBruteForce:
 
         monkeypatch.setattr(solver, "logdet_psd_batch", counting)
         labels = [i % 3 for i in range(9)]
-        ps = _rand_ps(21, 9, 3, labels)
-        for c in (
-            CardinalityConstraint(3, range(9)),
-            PartitionConstraint((2, 1, 1), dict(enumerate(labels))),
-            LaminarConstraint([(range(5), 2), (range(2), 1), (range(5, 9), 1)], range(9)),
-        ):
-            handed.clear()
-            brute_force_opt(ps, c)
-            assert sum(handed) == sum(1 for s in combinations(range(9), c.rank) if is_base(c, s)) > 3
+        for d in (3, 5):  # ranks 3 and 4: the scatter route, then the Gram route
+            ps = _rand_ps(21, 9, d, labels)
+            for c in (
+                CardinalityConstraint(3, range(9)),
+                PartitionConstraint((2, 1, 1), dict(enumerate(labels))),
+                LaminarConstraint([(range(5), 2), (range(2), 1), (range(5, 9), 1)], range(9)),
+            ):
+                handed.clear()
+                brute_force_opt(ps, c)
+                assert sum(handed) == sum(1 for s in combinations(range(9), c.rank) if is_base(c, s)) > 3
+
+    @pytest.mark.parametrize("batch", [3, matroid._BATCH])
+    def test_per_base_values_match_the_grown_matrices_bit_for_bit(self, monkeypatch, batch):
+        # each base's value equals the one from its matrix grown a row at a time (a border per
+        # row on the Gram route) and scored by the einsum sweep; ids are not in row order
+        monkeypatch.setattr(matroid, "_BATCH", batch)
+        real, scored = solver.logdet_psd_batch, []
+
+        def recording(mats, first):
+            scored.append(real(mats, first=first))
+            return scored[-1]
+
+        monkeypatch.setattr(solver, "logdet_psd_batch", recording)
+        rng = np.random.default_rng(batch)
+        labels = dict(enumerate(i % 3 for i in range(10)))
+        constraints = [CardinalityConstraint(k, range(10)) for k in (1, 2, 3)] + [
+            PartitionConstraint((2, 1, 1), labels),
+            PartitionConstraint((1, 0, 1), labels),
+            LaminarConstraint([(range(5), 2), (range(2), 1), (range(5, 10), 1)], range(10)),
+        ]
+        for d in (2, 4, 6):
+            coords = rng.standard_normal((10, d))
+            coords[3] = rng.integers(-2, 3, d)
+            coords[[7, 8]] = coords[2]  # repeated rows: singular Grams and scatters
+            ps = PointSet(d, [(int(i), coords[r], None) for r, i in enumerate(rng.permutation(10))])
+            for c in constraints:
+                scored.clear()
+                brute_force_opt(ps, c)
+                grow = reference_grower(ps.coords, c.rank >= d)
+                want = [reference_logdet_psd_batch(mats) for _, mats in matroid.enumerate_bases(c, ps, grow)]
+                assert np.concatenate(scored).tobytes() == np.concatenate(want).tobytes()
 
     def test_rank_above_point_count_is_infeasible(self):
         ps = _rand_ps(6, 3, 2)
