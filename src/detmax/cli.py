@@ -11,19 +11,18 @@ import gc
 import io
 import json
 import sys
-import traceback
 
 from .coreset import build_coreset, compose, coreset_from_json, coreset_ids_from_json, coreset_to_json
 from .errors import GuardExceededError, InstanceFormatError, PreconditionError, RejectionSamplingError, UnknownIdError
 from .geometry import merge_pointsets
 from .harness import bench_scaling, run_distributed
+from .ingest import parse_json, read_instance
 from .instances import (
     InstanceSpec,
     hard_instance,
     instance_to_json,
     lb_high_dim_instance,
     lb_low_dim_instance,
-    load_instance,
     random_instance,
 )
 from .localsearch import DEFAULT_ZETA
@@ -55,26 +54,24 @@ def _dump_csv(rows, fieldnames, path):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return parse_json(fh.read())
 
 
 def _load_instance(path):
     """The instance file at ``path`` as (points, constraint, meta), read with the cyclic collector off.
 
-    The parsed document holds containers per point, has no cycles and lives
-    only until its columns are built, so collections during the parse or the
-    build would walk it for nothing; collections put off until then would
-    walk it too if it were still alive.  So the collector is turned back on
-    (only if it was on) after refcounting has freed the document, on every
-    exit.
+    ``ingest.read_instance`` reads the file a slice of points at a time and
+    gives what ``load_instance(json.load(f))`` gives.  The objects of a slice
+    have no cycles and live only until the slice's columns are built, so
+    collections during the read would walk them for nothing.  The collector
+    is turned back on (only if it was on) on every exit, once refcounting has
+    freed the text and the slices; a JSONDecodeError keeps the text as its
+    ``doc``.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return load_instance(_load_json(path))
-    except Exception as exc:
-        traceback.clear_frames(exc.__traceback__)  # the frames of a failed build hold the document
-        raise
+        return read_instance(path)
     finally:
         if enabled:
             gc.enable()
@@ -116,7 +113,7 @@ def _cmd_gen(args):
         elif args.constraint == "laminar":
             if not args.laminar_sets:
                 raise PreconditionError("laminar generation needs --laminar-sets JSON")
-            cdoc = {"type": "laminar", "sets": json.loads(args.laminar_sets)}
+            cdoc = {"type": "laminar", "sets": parse_json(args.laminar_sets)}
             # the family's rank over ids 0..n-1, the ids random_instance gives
             k = LaminarConstraint(laminar_family(cdoc), range(args.n)).rank
         else:

@@ -261,13 +261,30 @@ def merge_pointsets(*parts):
     return PointSet.from_arrays(dims[0], *columns)
 
 
-def load_pointset(doc):
+def point_columns(entries):
+    """The id, coordinate-row and group columns of a list of point entries: the one column builder.
+
+    InstanceFormatError names the first entry that is not a dict with 'id'
+    and 'coords'.
+    """
+    try:
+        return (list(map(itemgetter("id"), entries)), list(map(itemgetter("coords"), entries)),
+                list(map(dict.get, entries, repeat("group"))))
+    except (TypeError, KeyError, AttributeError):
+        entry = next(p for p in entries if not isinstance(p, dict) or "id" not in p or "coords" not in p)
+        raise InstanceFormatError("each point needs 'id' and 'coords', got %r" % (entry,)) from None
+
+
+def load_pointset(doc, columns=None):
     """Parse the JSON instance schema into a PointSet.
 
     ``doc`` is the already-parsed document: a dict with keys ``dim`` and
     ``points``, each point being ``{"id": int, "group": int or null,
     "coords": [float, ...]}``.  A ``constraint`` key, if present, is ignored
     here; the instances module pairs it with the matroid parser.
+    ``columns``, when given, are the points' ids, coordinates (rows, or one
+    array) and groups, built already by a reader that streamed them; doc's
+    ``points`` is then a stand-in list.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
@@ -276,13 +293,7 @@ def load_pointset(doc):
     points = doc["points"]
     if not isinstance(points, list):
         raise InstanceFormatError("'points' must be a list")
-    try:
-        columns = (list(map(itemgetter("id"), points)), list(map(itemgetter("coords"), points)),
-                   list(map(dict.get, points, repeat("group"))))
-    except (TypeError, KeyError, AttributeError):
-        entry = next(p for p in points if not isinstance(p, dict) or "id" not in p or "coords" not in p)
-        raise InstanceFormatError("each point needs 'id' and 'coords', got %r" % (entry,)) from None
-    return PointSet.from_arrays(doc["dim"], *columns)
+    return PointSet.from_arrays(doc["dim"], *(point_columns(points) if columns is None else columns))
 
 
 def log_det_psd(m):

@@ -360,9 +360,12 @@ def instance_to_json(points, constraint, meta=None):
     return doc
 
 
-def load_instance(doc):
-    """Parse an interchange document into (points, constraint, meta)."""
-    points = load_pointset(doc)
+def load_instance(doc, columns=None):
+    """Parse an interchange document into (points, constraint, meta).
+
+    ``columns`` are as for :func:`detmax.geometry.load_pointset`.
+    """
+    points = load_pointset(doc, columns)
     if "constraint" not in doc:
         raise InstanceFormatError("instance document needs a 'constraint'")
     constraint = constraint_from_json(doc["constraint"], points)

@@ -253,10 +253,16 @@ _error_cases = pytest.mark.parametrize("doc, message", [
     (_doc(_OK[0], (5, [1.0], 0), ("x", [1.0, 1.0], 0)), "point 5 has 1 coordinates, expected 2"),
     (_doc((5, [1.0], "a"), (5, [1.0, 1.0], 0)), "point 5 has 1 coordinates, expected 2"),
     (_doc(_OK[0], (0, [math.inf], 0)), "duplicate point id 0"),
+    (_doc(_OK[0], (5, [1.0, None], 0), _OK[1]), "point 5 coordinates are not a list of numbers"),
+    (_doc(_OK[0], (5, [1.0, "a"], 0), _OK[1]), "point 5 coordinates are not a list of numbers"),
+    (_doc(_OK[0], (5, "ab", 0), _OK[1]), "point 5 coordinates are not a list of numbers"),
+    (_doc(_OK[0], (5, [[1.0], [1.0]], 0), _OK[1]), "point 5 coordinates are not a list of numbers"),
+    (_doc((5, [1.0, 1.0, 1.0], 0), (6, [1.0, 1.0, 1.0], 0)), "point 5 has 3 coordinates, expected 2"),
+    (_doc((5, [True, False, True], 0), (6, [False, True, True], 0)), "point 5 has 3 coordinates, expected 2"),
 ], ids=["str-id", "bool-id", "negative-id", "duplicate-id", "short-point", "inf-coord", "nan-coord",
         "str-group", "negative-group", "no-group", "group-without-cap", "dim-0",
         "first-point-wins", "coords-before-later-id", "coords-before-group",
-        "duplicate-before-coords"])
+        "duplicate-before-coords", "null-coord", "str-coord", "str-coords", "nested-coords", "all-long", "all-long-bools"])
 
 
 @_error_cases
@@ -264,6 +270,11 @@ def test_load_instance_error_messages(doc, message):
     with pytest.raises(InstanceFormatError) as exc:
         load_instance(doc)
     assert str(exc.value) == message
+
+
+def test_coordinates_of_any_number_type_load_as_floats():
+    points, _, _ = load_instance(_doc((0, [2**70, 1], 0), (1, [True, False], 0), (2, [3, 0.5], 0)))
+    assert points.coords.dtype == float and points.coords.tolist() == [[2.0**70, 1.0], [1.0, 0.0], [3.0, 0.5]]
 
 
 def _masked_int_column(values, none_ok=False):
