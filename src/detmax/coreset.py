@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvariantError, PreconditionError
 from .geometry import distinct_ids, int_column, is_count
-from .localsearch import DEFAULT_ZETA, check_search, gather, search
+from .localsearch import DEFAULT_ZETA, check_search, gather, search, tier_of
 from .localsearch import local_opt  # noqa: F401  bench/layers.py wraps coreset.local_opt; drop both together
 from .matroid import cover_number, ground_positions, membership
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde, regime_of
@@ -48,16 +48,18 @@ def _peel(ids, rows, threshold, ell, zeta, child=None):
 
     The rows are gathered into one block, and each layer masks the rows it
     took.  ``child`` labels each row's child set (-1 for none); a layer then
-    also masks every row that shares a label with one of its members.
+    also masks every row that shares a label with one of its members.  Each
+    layer searches the block's tier (:func:`tier_of`), built once, first.
     """
     cols, norms = gather(rows)
+    tier = tier_of(cols, norms)
     alive = np.ones(len(ids), dtype=bool)
     layers = []
     for _ in range(threshold):
         gone = np.flatnonzero(~alive)
         if len(gone) == len(ids):
             break
-        layers.append(search(cols, norms, ids, ell, zeta, gone=gone))
+        layers.append(search(cols, norms, ids, ell, zeta, gone=gone, tier=tier))
         pos = np.searchsorted(ids, layers[-1].ids)
         alive[pos] = False
         if child is not None:

@@ -168,7 +168,11 @@ class PointSet:
                 faults.append((bad, "point %%d has %d coordinates, expected %d" % (len(coords[bad]), dim)))
             faults.append((bad, "point %d coordinates are not a list of numbers"))
             x = np.array(coords[:bad]).reshape(bad, dim)
-        x = np.asarray(x, dtype=float)
+        try:
+            x = np.asarray(x, dtype=float)
+        except OverflowError:  # an int beyond float range is beyond MAX_COORD, as +-1e308 is
+            x = np.vectorize(lambda c: float(c) if abs(c) < 1e308 or not isinstance(c, int) else 1e308 * (c > 0 or -1),
+                             otypes=[float])(x)
         finite = np.isfinite(x).all(axis=1)
         faults.append((first_true(~finite), "point %d has non-finite coordinates"))
         huge = finite & (np.abs(x) > MAX_COORD).any(axis=1)

@@ -11,6 +11,7 @@ The result and the error messages are those of
 """
 
 import json
+import sys
 from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
@@ -27,11 +28,15 @@ _space = WHITESPACE.match
 
 
 def parse_json(text):
-    """``json.loads(text)``; a value nested beyond the interpreter's recursion limit is an InstanceFormatError."""
+    """``json.loads(text)``; too deep a nesting or too long an int literal is an InstanceFormatError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise InstanceFormatError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int("1" * 5000) raises the digit limit's ValueError
+        raise InstanceFormatError("JSON integer longer than %d digits" % sys.get_int_max_str_digits()) from None
 
 
 def read_instance(path):

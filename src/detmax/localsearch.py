@@ -38,6 +38,34 @@ rounding, and the search still ends at the first one that does.  The
 visited selections are scored in one batched log-det after the loop, or
 before a swap-limit or linear-algebra error escapes; the end selection's
 value is taken alone, as the seed's is.
+
+A block of more than TIER_FLOOR points is searched on its tier first, as
+lazy greedy (Minoux 1978) tries the largest bounds first: its largest-norm
+eighth, in position order so ties still go to the smallest id, with
+``outside`` the largest squared norm left out.  A tier decision stands only
+when certified to be the whole block's.  The first that is not, every later
+one, and a search whose tier has at most ell live points, use the block.
+
+* Greedy: a pick stands when its residual exceeds ``outside``.  Residuals
+  start at the norms and only lose squares, and a rounded a - b, b >= 0, is
+  at most a, so no left-out residual beats or ties it.
+* Sweeps: every computed ratio of member e is at most c_e |f|^2, up to
+  roundings SLACK covers.  For ell = d, c_e = |M_e|^2 (M = G^-1 A), as
+  |C[e, f]| <= |M_e| |f|.  For ell < d the ratio is the form in f of H_e =
+  M_e M_e^T + g_e (I - sym(A^T M)), g_e = max((G^-1)[e, e], 0), up to a few
+  d-term roundings of |M_e|^2 + g_e (1 + kappa), kappa = sum_j |A_j| |M_j|,
+  or C[e, f]^2 where the residual clamps at 0: c_e = max(lambda_max(H_e),
+  |M_e|^2) + SLACK (|M_e|^2 + g_e (1 + kappa)).  Exact arithmetic gives
+  c_e = (G^-1)[e, e], but an ill-conditioned G can push a computed residual
+  past |f|^2, so the computed A^T M is read.  reach = max_e c_e (outside +
+  TINY)(1 + SLACK) + TINY bounds every left-out ratio (the TINY terms take
+  underflow; coordinates of at most MAX_COORD keep c_e far above it).  A
+  sweep stands when reach is below the tier's best ratio, or both are at
+  most zeta.  NaN fails every test.
+
+Tier products come from other BLAS calls than the block's, so only a tie in
+the last place could be decided differently.  Log-dets read the block: the
+same histories are scored with or without a tier.
 """
 
 import math
@@ -51,6 +79,9 @@ from .geometry import SINGULAR_PIVOT_REL, distinct_ids, is_count, logdet_psd_bat
 DEFAULT_ZETA = 1.01
 SWAP_LIMIT = 10**6
 NOTHING = np.zeros(0, dtype=np.intp)  # a mask of no position
+TIER_FLOOR = 8192  # a block of at most this many points is searched whole
+SLACK = 1e-6  # relative room for rounding in a tier's sweep certificate
+TINY = np.finfo(float).tiny  # absolute room for underflow in it
 
 
 @dataclass(frozen=True)
@@ -86,17 +117,28 @@ def gather(rows):
     return rows.T.copy(), np.einsum("ij,ij->i", rows, rows)
 
 
+def tier_of(cols, norms):
+    """(positions ascending, their columns and norms, outside): norms above ``outside``, the (n/8 + 1)-th largest."""
+    n = len(norms)
+    if n <= TIER_FLOOR:
+        return None
+    outside = np.partition(norms, n - n // 8 - 1)[n - n // 8 - 1]
+    pos = np.flatnonzero(norms > outside)
+    return pos, np.take(cols, pos, axis=1), norms[pos], float(outside)
+
+
 def _logdets(cols, selections):
     """Log squared volumes of position lists of a block, each from a C-ordered copy of its rows."""
     return logdet_psd_batch(np.stack([A @ A.T for A in (cols[:, pos].T.copy() for pos in selections)]))
 
 
-def _greedy_positions(cols, norms, take, gone=NOTHING):
+def _greedy_positions(cols, norms, take, gone=NOTHING, outside=None):
     """Greedy max-residual selection of ``take`` positions of the block, none in ``gone``.
 
     Ties go to the lowest position.  A vector whose residual is at most
     SINGULAR_PIVOT_REL times its own squared norm counts as already spanned
-    and extends the selection without extending the basis.
+    and extends the selection without extending the basis.  On a tier, None
+    unless every pick's residual exceeds ``outside``.
     """
     d = len(cols)
     res = norms.copy()
@@ -108,6 +150,8 @@ def _greedy_positions(cols, norms, take, gone=NOTHING):
     picked = []
     for step in range(1, take + 1):
         pos = int(np.argmax(res))  # picked and masked positions hold -inf
+        if outside is not None and not res[pos] > outside:
+            return None
         if not res[pos] > 0:  # every live residual is <= 0: the first live position
             pos = int(np.argmax(res > -np.inf))
         picked.append(pos)
@@ -136,30 +180,62 @@ def greedy_init(points, V, ell):
 
 
 def _exchange_ratios(cols, norms, cur_pos):
-    """det G(U - e + f) / det G(U) for member e = cur_pos[i] and every position f of the block, as an ell x n array."""
+    """det G(U - e + f) / det G(U), member e = cur_pos[i], f each position (ell x n), and (A, G^-1, G^-1 A)."""
     A = cols[:, cur_pos].T.copy()
     g_inv = np.linalg.inv(A @ A.T)
-    Ct = (g_inv @ A) @ cols
+    M = g_inv @ A
+    Ct = M @ cols
     if len(cur_pos) == len(cols):  # span(U) is all of R^d: no outsider has a residual
-        return np.square(Ct, out=Ct)
+        return np.square(Ct, out=Ct), (A, g_inv, M)
     resid = np.maximum(norms - np.einsum("ij,ij->j", A @ cols, Ct), 0.0)
-    return Ct * Ct + np.diag(g_inv)[:, None] * resid
+    return Ct * Ct + np.diag(g_inv)[:, None] * resid, (A, g_inv, M)
 
 
-def _swap_sweeps(cols, norms, gone, history, zeta, swap_limit):
-    """Append each accepted selection to ``history`` until no exchange clears zeta."""
+def _coefficients(A, g_inv, M):
+    """Per member e, c_e with every computed ratio of e at most c_e |f|^2, up to SLACK (see the module docstring)."""
+    coef = np.einsum("ij,ij->i", M, M)
+    if len(A) == A.shape[1]:
+        return coef
+    g = np.maximum(np.diag(g_inv), 0.0)
+    Q = A.T @ M
+    H = M[:, :, None] * M[:, None, :] + g[:, None, None] * (np.eye(len(Q)) - (Q + Q.T) / 2)
+    top = np.linalg.eigvalsh(H)[:, -1] if np.isfinite(H).all() else np.inf
+    kappa = np.sqrt(np.einsum("ij,ij->i", A, A) * coef).sum()
+    return np.maximum(top, coef) + SLACK * (coef + g * (1.0 + kappa))
+
+
+def _sweep(cols, norms, gone, cur_pos, zeta, outside=None):
+    """One sweep's exchange: (member index, position), None when none clears zeta, False if uncertified on a tier."""
+    ratio, factors = _exchange_ratios(cols, norms, cur_pos)
+    ratio[:, cur_pos] = -np.inf
+    ratio[:, gone] = -np.inf
+    into = ratio.argmax(axis=1)  # the best outsider for each member; ties: smallest in id
+    best = ratio[np.arange(len(cur_pos)), into]
+    j = int(np.argmax(best))  # ties: smallest out id
+    if outside is not None:
+        reach = float(_coefficients(*factors).max()) * (outside + TINY) * (1.0 + SLACK) + TINY
+        if not (reach < best[j] or best[j] <= zeta and reach <= zeta):
+            return False
+    return (j, int(into[j])) if best[j] > zeta else None
+
+
+def _swap_sweeps(cols, norms, gone, history, zeta, swap_limit, top=None):
+    """Append each accepted selection to ``history`` until no exchange clears zeta.
+
+    ``top``, the tier's (positions, (cols, norms, gone), outside), is swept until a sweep there is uncertified.
+    """
     cur_pos = history[-1]
-    members = np.arange(len(cur_pos))
     while True:
-        ratio = _exchange_ratios(cols, norms, cur_pos)
-        ratio[:, cur_pos] = -np.inf
-        ratio[:, gone] = -np.inf
-        into = ratio.argmax(axis=1)  # the best outsider for each member; ties: smallest in id
-        best = ratio[members, into]
-        j = int(np.argmax(best))  # ties: smallest out id
-        if not best[j] > zeta:
+        with np.errstate(all="ignore"):  # an uncertified tier sweep is redone on the block, warnings and all
+            step = False if top is None else _sweep(*top[1], np.searchsorted(top[0], cur_pos), zeta, top[2])
+        if step is False:
+            top, step = None, _sweep(cols, norms, gone, cur_pos, zeta)
+        elif step:
+            step = step[0], int(top[0][step[1]])
+        if step is None:
             return
-        cur_pos = sorted(cur_pos[:j] + cur_pos[j + 1:] + [int(into[j])])
+        j, into = step
+        cur_pos = sorted(cur_pos[:j] + cur_pos[j + 1:] + [into])
         history.append(cur_pos)
         if len(history) > swap_limit + 1:
             raise SwapLimitError("local search exceeded %d accepted swaps" % swap_limit)
@@ -179,21 +255,33 @@ def _cut_at_singular(cols, history, stop):
     return len(hits) > 0
 
 
-def search(cols, norms, ids, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT, gone=NOTHING):
+def search(cols, norms, ids, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT, gone=NOTHING, tier=None):
     """Greedy seeding plus best-improvement swaps over a block, to a zeta local optimum.
 
     ``cols`` and ``norms`` come from :func:`gather`, and ``gone`` holds the
     distinct masked positions.  ``ids`` holds the id of each position,
     ascending, so that the lowest wins a tie; ``ell`` is at most the block's
-    height.  See :func:`local_opt`.
+    height.  ``tier`` is the block's :func:`tier_of`, searched first while
+    it certifies.  See :func:`local_opt`.
     """
     live = len(ids) - len(gone)
     take = min(ell, live)
-    history = [sorted(_greedy_positions(cols, norms, take, gone))]
+    top = picked = None
+    if tier is not None:
+        pos, tier_cols, tier_norms, outside = tier
+        dead = np.zeros(len(ids), dtype=bool)
+        dead[gone] = True
+        tier_gone = np.flatnonzero(dead[pos])
+        top = pos, (tier_cols, tier_norms, tier_gone), outside
+        if len(pos) - len(tier_gone) > ell:
+            picked = _greedy_positions(tier_cols, tier_norms, take, tier_gone, outside)
+    if picked is None:
+        picked, top = _greedy_positions(cols, norms, take, gone), None
+    history = [sorted(picked if top is None else pos[picked].tolist())]
     val = float(_logdets(cols, history[:1])[0])
     if val > -math.inf and live > take:
         try:
-            _swap_sweeps(cols, norms, gone, history, zeta, swap_limit)
+            _swap_sweeps(cols, norms, gone, history, zeta, swap_limit, top)
         except (SwapLimitError, np.linalg.LinAlgError) as exc:
             # the search ends at a singular selection before any later sweep
             # fails; the selection that tripped the swap limit is not scored
@@ -227,7 +315,8 @@ def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
     """
     check_search(points.dim, ell, zeta)
     ids = distinct_ids(V)
-    return search(*gather(points.rows(ids)), ids, ell, zeta, swap_limit)
+    cols, norms = gather(points.rows(ids))
+    return search(cols, norms, ids, ell, zeta, swap_limit, tier=tier_of(cols, norms))
 
 
 def verify_local_opt(points, V, selection, zeta, slack=1e-9):

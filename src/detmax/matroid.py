@@ -303,7 +303,9 @@ def enumerate_bases(constraint, points, grow=None):
     prefix's (1, ...) matrix, and ``step(mats, prefix, child)`` returns the
     matrices of the (b, j) prefixes ``prefix``, each extended by its entry
     in ``child``; both hold rows of ``points.coords``.  A prefix's matrix is
-    grown once and shared by all its extensions.
+    grown once and shared by all its extensions.  ``grow = (None, None)``
+    carries nothing: each chunk comes with its bases' (b, k) rows of
+    ``points.coords`` instead.
 
     The call itself, not the first ``next()``, checks C(n, k) against the
     oracle cap (10**6 by default, DETMAX_ORACLE_CAP overrides) and names the
@@ -329,8 +331,9 @@ def _walk(ids, k, member, caps, grow, at):
     """
     n = len(ids)
     root, step = grow or (None, None)
+    leaf = lambda rows, grown: (ids[rows], grown if step or at is None else at[rows])  # noqa: E731
     if k == 0:
-        yield np.empty((1, 0), dtype=np.int64), root
+        yield leaf(np.empty((1, 0), dtype=np.int64), root)
         return
     # a frame: one block of prefixes (positions, cap counts, matrices), the running total of their
     # children, and how many of those were handed out; a prefix ending at p extends by p + 1 .. n - k + j
@@ -353,7 +356,7 @@ def _walk(ids, k, member, caps, grow, at):
         grown = step(mats[parent], at[prefix], at[child]) if step else None
         rows = np.column_stack((prefix, child))
         if j + 1 == k:
-            yield ids[rows], grown
+            yield leaf(rows, grown)
         else:
             stack.append([rows, counts[keep], grown, np.cumsum(n - k + j + 1 - child), 0])
 

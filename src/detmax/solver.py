@@ -4,9 +4,9 @@ The objective is the solver dispatch from the objective module: determinant
 of the k x k inner-product matrix while selections are smaller than the
 dimension, determinant of the d x d outer-product sum otherwise.  The brute
 force route walks the lex tree of independent prefixes (guarded by
-DETMAX_ORACLE_CAP), so what each prefix shares with its extensions (its
-scatter while k >= d, its point rows while k < d) is grown once.  Grams are
-read from one table of pairwise inner products.  Each chunk of bases is
+DETMAX_ORACLE_CAP).  While k >= d each prefix's scatter is grown once and
+shared with its extensions; while k < d each base's Gram is read from one
+table of pairwise inner products.  Each chunk of bases is
 scored in one vectorized batch through the same pivot rule as the scalar
 path, so batch and scalar evaluations cannot disagree about singularity.
 Ties go to the lexicographically smallest base.
@@ -55,24 +55,15 @@ class SolveResult:
         }
 
 
-def _grower(coords, scatter):
-    """The empty selection's (1, ...) value and the step that extends a stack of selections by one row each.
-
-    ``step(grown, prefix, child)`` takes the values of the selections whose
-    rows of ``coords`` are the (b, j) array ``prefix`` and returns those of
-    each prefix plus its row in ``child``: the d x d scatter plus the child's
-    outer product, or, without ``scatter``, the rows themselves.
-    """
+def _outer_step(coords):
+    """The walk's step while k >= d: each prefix's d x d scatter plus the outer product of its child's row."""
     def outer(mats, prefix, child):
         x = coords[child]
         out = np.einsum("bi,bj->bij", x, x)
         out += mats
         return out
 
-    if not scatter:
-        return np.empty((1, 0), dtype=np.intp), lambda _, prefix, child: np.column_stack((prefix, child))
-    d = coords.shape[1]
-    return np.zeros((1, d, d)), outer
+    return outer
 
 
 def _gram_stacks(coords, k):
@@ -111,16 +102,17 @@ def brute_force_opt(points, constraint):
     bases over chunk by chunk in lex order; each chunk is scored in one
     :func:`logdet_psd_batch` call.  While k >= d each prefix carries its
     d x d scatter, grown by one outer product per element.  While k < d
-    each prefix carries its rows, and a chunk's k x k Grams are gathered
-    from one table of pairwise inner products.  A later chunk takes over
-    only with a strictly larger value.  Raises GuardExceededError through
+    nothing is carried: the walk hands over each chunk's rows, and their
+    k x k Grams are gathered from one table of pairwise inner products.  A
+    later chunk takes over only with a strictly larger value.  Raises GuardExceededError through
     the base enumerator when C(n, k) exceeds the oracle cap.  No bases at
     all gives an infeasible result; all-singular bases give a feasible
     result with -inf.
     """
     k = constraint.rank
-    scatter = k >= points.dim
-    walk = enumerate_bases(constraint, points, _grower(points.coords, scatter))  # checks the cap before the table
+    scatter, d = k >= points.dim, points.dim
+    grow = (np.zeros((1, d, d)), _outer_step(points.coords)) if scatter else (None, None)
+    walk = enumerate_bases(constraint, points, grow)  # checks the cap before the table
     mats = (lambda grown: grown) if scatter else _gram_stacks(points.coords, k)
     best, best_val, seen = None, -math.inf, 0
     for chunk, grown in walk:

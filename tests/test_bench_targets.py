@@ -8,6 +8,10 @@ read from it drops out of the benchmark's report, so a rename inside
 
 from pathlib import Path
 
+import numpy as np
+
+from detmax import coreset, geometry, localsearch
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -18,3 +22,30 @@ def test_every_wrap_target_exists(monkeypatch):
     targets = layers.targets()
     assert targets
     assert [t.label for t in targets if not hasattr(t.owner, t.attr)] == []
+
+
+def test_a_tiered_peel_scores_through_the_localsearch_global(monkeypatch):
+    # the traced pass counts local search's log-dets at localsearch.logdet_psd_batch;
+    # a block large enough for a tier must send every one through it, and the
+    # same ones as the whole block, since both score the same histories
+    calls = []
+    real = localsearch.logdet_psd_batch
+
+    def counting(mats, **kw):
+        calls.append(len(mats))
+        return real(mats, **kw)
+
+    def elsewhere(*args, **kw):
+        raise AssertionError("a log-det bypassed localsearch.logdet_psd_batch")
+
+    monkeypatch.setattr(localsearch, "logdet_psd_batch", counting)
+    monkeypatch.setattr(geometry, "logdet_psd_batch", elsewhere)
+    X = np.random.default_rng(1).standard_normal((2 * localsearch.TIER_FLOOR, 8))
+    ids = np.arange(len(X))
+    assert localsearch.tier_of(*localsearch.gather(X)) is not None
+    tiered = coreset._peel(ids, X, 4, 8, 1.01)
+    counted = list(calls)
+    calls.clear()
+    monkeypatch.setattr(localsearch, "TIER_FLOOR", len(X))
+    assert coreset._peel(ids, X, 4, 8, 1.01) == tiered
+    assert counted and calls == counted

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 import weakref
 
 import pytest
@@ -178,3 +179,44 @@ def test_json_nested_too_deeply_exits_2(tmp_path, capsys, argv, files):
     argv = [str(tmp_path / a[1]) if a in ("{a}", "{b}") else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
     assert capsys.readouterr().err == "error: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("coord", ["1" + "0" * 400, "-1" + "0" * 400], ids=["positive", "negative"])
+@pytest.mark.parametrize("command", sorted(_ARGV))
+def test_an_int_coordinate_beyond_float_range_exits_2(tmp_path, capsys, command, coord):
+    """JSON reads it as an int that float() refuses; it is a coordinate beyond MAX_COORD, as 1e300 is."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_GOOD).replace("[0.0, 1.0]", "[0.0, %s]" % coord))
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr().err == "error: point 3 has a coordinate beyond 1e+100 in magnitude\n"
+
+
+_LONG = "7" * 5_001  # an int literal beyond the interpreter's default limit of 4,300 digits
+
+
+@pytest.fixture
+def digit_limit():
+    """The default limit on int literals, whatever the environment set, restored after."""
+    was = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(was)
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["run", "--instance", "{a}", "--parts", "2"], {"a": "coord"}),
+    (["coreset", "--instance", "{a}"], {"a": "coord"}),
+    (["solve", "--instance", "{a}"], {"a": "coord"}),
+    (["run", "--instance", "{a}"], {"a": dict(_GOOD, meta="{long}")}),
+    (["solve", "--instance", "{a}", "--coreset", "{b}"], {"a": _GOOD, "b": {"ids": "{long}"}}),
+    (["compose", "{a}", "{b}"], {"a": {"ids": "{long}"}, "b": {"ids": "{long}"}}),
+    (["gen", "--constraint", "laminar", "--laminar-sets", '[{"ids": [0], "cap": %s}]' % _LONG], {}),
+], ids=["run-coord", "coreset-coord", "solve-coord", "run-meta", "solve-coreset", "compose", "gen-laminar-sets"])
+def test_int_literal_beyond_the_digit_limit_exits_2(tmp_path, capsys, digit_limit, argv, files):
+    """json.loads raises a plain ValueError for it, not a JSONDecodeError: exit 2, one error line, no traceback."""
+    for name, content in files.items():
+        text = json.dumps(_GOOD).replace("[0.0, 1.0]", "[0.0, {long}]") if content == "coord" else json.dumps(content)
+        (tmp_path / name).write_text(text.replace("{long}", _LONG).replace('"%s"' % _LONG, _LONG))
+    argv = [str(tmp_path / a[1]) if a in ("{a}", "{b}") else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == "error: JSON integer longer than 4300 digits\n"

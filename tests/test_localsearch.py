@@ -388,7 +388,7 @@ class TestExchangeRatios:
             X = ps.rows(ps.ids)
             rng = np.random.default_rng(seed)
             cur = sorted(int(p) for p in rng.choice(n, ell, replace=False))
-            ratio = _exchange_ratios(*gather(X), cur).T
+            ratio = _exchange_ratios(*gather(X), cur)[0].T
             base = nu(ps, cur)
             for j, e in enumerate(cur):
                 for f in range(n):
@@ -419,7 +419,7 @@ class TestExchangeRatios:
         ps = _ps([(0, 2, -2), (-2, -1, 1), (1, -1, -2), (2, -2, 0), (1, -1, -2)])
         assert sorted(greedy_init(ps, ps.ids, 3)) == [0, 1, 3]
         X = ps.rows(ps.ids)
-        ratio = _exchange_ratios(*gather(X), [0, 1, 3]).T
+        ratio = _exchange_ratios(*gather(X), [0, 1, 3])[0].T
         assert ratio[2, 0] == ratio[4, 0] == ratio[2, 2] == ratio[4, 2] == 2.25
         res = local_opt(ps, ps.ids, 3, 1.01)
         assert (res.ids, res.swap_count) == ((1, 2, 3), 1)
