@@ -49,10 +49,10 @@ def _peel(ids, rows, threshold, ell, zeta, child=None):
     The rows are gathered into one block, and each layer masks the rows it
     took.  ``child`` labels each row's child set (-1 for none); a layer then
     also masks every row that shares a label with one of its members.  Each
-    layer searches the block's tier (:func:`tier_of`), built once, first.
+    layer searches the block's tier (:func:`tier_of`, built once), if any, first.
     """
     cols, norms = gather(rows)
-    tier = tier_of(cols, norms)
+    tier = tier_of(cols, norms, ell)
     alive = np.ones(len(ids), dtype=bool)
     layers = []
     for _ in range(threshold):

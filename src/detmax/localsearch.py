@@ -39,29 +39,26 @@ visited selections are scored in one batched log-det after the loop, or
 before a swap-limit or linear-algebra error escapes; the end selection's
 value is taken alone, as the seed's is.
 
-A block of more than TIER_FLOOR points is searched on its tier first, as
-lazy greedy (Minoux 1978) tries the largest bounds first: its largest-norm
-eighth, in position order so ties still go to the smallest id, with
-``outside`` the largest squared norm left out.  A tier decision stands only
-when certified to be the whole block's.  The first that is not, every later
-one, and a search whose tier has at most ell live points, use the block.
+A block of more than TIER_FLOOR points searched with ell = d is searched on
+its tier first, as lazy greedy (Minoux 1978) tries the largest bounds first:
+its largest-norm eighth, in position order so ties still go to the smallest
+id, with ``outside`` the largest squared norm left out.  A tier decision
+stands only when certified to be the whole block's.  The first that is not,
+every later one, and a search whose tier has at most ell live points, use
+the block.
 
 * Greedy: a pick stands when its residual exceeds ``outside``.  Residuals
   start at the norms and only lose squares, and a rounded a - b, b >= 0, is
   at most a, so no left-out residual beats or ties it.
-* Sweeps: every computed ratio of member e is at most c_e |f|^2, up to
-  roundings SLACK covers.  For ell = d, c_e = |M_e|^2 (M = G^-1 A), as
-  |C[e, f]| <= |M_e| |f|.  For ell < d the ratio is the form in f of H_e =
-  M_e M_e^T + g_e (I - sym(A^T M)), g_e = max((G^-1)[e, e], 0), up to a few
-  d-term roundings of |M_e|^2 + g_e (1 + kappa), kappa = sum_j |A_j| |M_j|,
-  or C[e, f]^2 where the residual clamps at 0: c_e = max(lambda_max(H_e),
-  |M_e|^2) + SLACK (|M_e|^2 + g_e (1 + kappa)).  Exact arithmetic gives
-  c_e = (G^-1)[e, e], but an ill-conditioned G can push a computed residual
-  past |f|^2, so the computed A^T M is read.  reach = max_e c_e (outside +
-  TINY)(1 + SLACK) + TINY bounds every left-out ratio (the TINY terms take
-  underflow; coordinates of at most MAX_COORD keep c_e far above it).  A
-  sweep stands when reach is below the tier's best ratio, or both are at
-  most zeta.  NaN fails every test.
+* Sweeps: every ratio of member e is C[e, f]^2 <= c_e |f|^2, c_e = |M_e|^2
+  (M = G^-1 A, the computed one), up to d-term roundings that SLACK covers.
+  reach = max_e c_e (outside + TINY)(1 + SLACK) + TINY bounds every
+  left-out ratio (the TINY terms take underflow; coordinates of at most
+  MAX_COORD keep c_e far above it).  A sweep stands when reach is below the
+  tier's best ratio, or both are at most zeta.  NaN fails every test.
+
+A search with ell < d gets no tier: its ratios add a residual term which,
+computed under an ill-conditioned G, can pass |f|^2 and so c_e |f|^2.
 
 Tier products come from other BLAS calls than the block's, so only a tie in
 the last place could be decided differently.  Log-dets read the block: the
@@ -117,10 +114,13 @@ def gather(rows):
     return rows.T.copy(), np.einsum("ij,ij->i", rows, rows)
 
 
-def tier_of(cols, norms):
-    """(positions ascending, their columns and norms, outside): norms above ``outside``, the (n/8 + 1)-th largest."""
+def tier_of(cols, norms, ell):
+    """(positions ascending, their columns and norms, outside): norms above ``outside``, the (n/8 + 1)-th largest.
+
+    None for a block of at most TIER_FLOOR points or a search with ell < d.
+    """
     n = len(norms)
-    if n <= TIER_FLOOR:
+    if n <= TIER_FLOOR or ell < len(cols):
         return None
     outside = np.partition(norms, n - n // 8 - 1)[n - n // 8 - 1]
     pos = np.flatnonzero(norms > outside)
@@ -180,40 +180,27 @@ def greedy_init(points, V, ell):
 
 
 def _exchange_ratios(cols, norms, cur_pos):
-    """det G(U - e + f) / det G(U), member e = cur_pos[i], f each position (ell x n), and (A, G^-1, G^-1 A)."""
+    """det G(U - e + f) / det G(U), member e = cur_pos[i], f each position (ell x n), and G^-1 A."""
     A = cols[:, cur_pos].T.copy()
     g_inv = np.linalg.inv(A @ A.T)
     M = g_inv @ A
     Ct = M @ cols
     if len(cur_pos) == len(cols):  # span(U) is all of R^d: no outsider has a residual
-        return np.square(Ct, out=Ct), (A, g_inv, M)
+        return np.square(Ct, out=Ct), M
     resid = np.maximum(norms - np.einsum("ij,ij->j", A @ cols, Ct), 0.0)
-    return Ct * Ct + np.diag(g_inv)[:, None] * resid, (A, g_inv, M)
-
-
-def _coefficients(A, g_inv, M):
-    """Per member e, c_e with every computed ratio of e at most c_e |f|^2, up to SLACK (see the module docstring)."""
-    coef = np.einsum("ij,ij->i", M, M)
-    if len(A) == A.shape[1]:
-        return coef
-    g = np.maximum(np.diag(g_inv), 0.0)
-    Q = A.T @ M
-    H = M[:, :, None] * M[:, None, :] + g[:, None, None] * (np.eye(len(Q)) - (Q + Q.T) / 2)
-    top = np.linalg.eigvalsh(H)[:, -1] if np.isfinite(H).all() else np.inf
-    kappa = np.sqrt(np.einsum("ij,ij->i", A, A) * coef).sum()
-    return np.maximum(top, coef) + SLACK * (coef + g * (1.0 + kappa))
+    return Ct * Ct + np.diag(g_inv)[:, None] * resid, M
 
 
 def _sweep(cols, norms, gone, cur_pos, zeta, outside=None):
     """One sweep's exchange: (member index, position), None when none clears zeta, False if uncertified on a tier."""
-    ratio, factors = _exchange_ratios(cols, norms, cur_pos)
+    ratio, M = _exchange_ratios(cols, norms, cur_pos)
     ratio[:, cur_pos] = -np.inf
     ratio[:, gone] = -np.inf
     into = ratio.argmax(axis=1)  # the best outsider for each member; ties: smallest in id
     best = ratio[np.arange(len(cur_pos)), into]
     j = int(np.argmax(best))  # ties: smallest out id
     if outside is not None:
-        reach = float(_coefficients(*factors).max()) * (outside + TINY) * (1.0 + SLACK) + TINY
+        reach = float(np.einsum("ij,ij->i", M, M).max()) * (outside + TINY) * (1.0 + SLACK) + TINY
         if not (reach < best[j] or best[j] <= zeta and reach <= zeta):
             return False
     return (j, int(into[j])) if best[j] > zeta else None
@@ -316,7 +303,7 @@ def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
     check_search(points.dim, ell, zeta)
     ids = distinct_ids(V)
     cols, norms = gather(points.rows(ids))
-    return search(cols, norms, ids, ell, zeta, swap_limit, tier=tier_of(cols, norms))
+    return search(cols, norms, ids, ell, zeta, swap_limit, tier=tier_of(cols, norms, ell))
 
 
 def verify_local_opt(points, V, selection, zeta, slack=1e-9):

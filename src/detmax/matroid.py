@@ -303,8 +303,8 @@ def enumerate_bases(constraint, points, grow=None):
     prefix's (1, ...) matrix, and ``step(mats, prefix, child)`` returns the
     matrices of the (b, j) prefixes ``prefix``, each extended by its entry
     in ``child``; both hold rows of ``points.coords``.  A prefix's matrix is
-    grown once and shared by all its extensions.  ``grow = (None, None)``
-    carries nothing: each chunk comes with its bases' (b, k) rows of
+    grown once and shared by all its extensions.  A pair whose ``step`` is
+    None carries nothing: each chunk comes with its bases' (b, k) rows of
     ``points.coords`` instead.
 
     The call itself, not the first ``next()``, checks C(n, k) against the
@@ -320,20 +320,21 @@ def enumerate_bases(constraint, points, grow=None):
             % (len(ids), k, total, cap, ORACLE_CAP_ENV)
         )
     member, caps = membership(constraint, ids)
-    walk = _walk(ids, k, member, caps, grow, points.index(ids) if grow else None) if total else iter(())
+    walk = _walk(ids, k, member, caps, grow or (None, None), points.index(ids)) if total else iter(())
     return walk if grow else (chunk for chunk, _ in walk)
 
 
 def _walk(ids, k, member, caps, grow, at):
-    """The (ids, mats) chunks of the bases below the empty prefix, in lex order; mats is None without ``grow``.
+    """The (ids, mats) chunks of the bases below the empty prefix, in lex order.
 
-    ``at`` maps a position into ``ids`` to its row of the points, which is what ``grow``'s step takes.
+    ``at`` maps a position into ``ids`` to its row of the points, which is
+    what ``grow``'s step takes; without a step, mats holds the bases' rows.
     """
     n = len(ids)
-    root, step = grow or (None, None)
-    leaf = lambda rows, grown: (ids[rows], grown if step or at is None else at[rows])  # noqa: E731
+    root, step = grow
     if k == 0:
-        yield leaf(np.empty((1, 0), dtype=np.int64), root)
+        rows = np.empty((1, 0), dtype=np.int64)
+        yield ids[rows], root if step else at[rows]
         return
     # a frame: one block of prefixes (positions, cap counts, matrices), the running total of their
     # children, and how many of those were handed out; a prefix ending at p extends by p + 1 .. n - k + j
@@ -356,7 +357,7 @@ def _walk(ids, k, member, caps, grow, at):
         grown = step(mats[parent], at[prefix], at[child]) if step else None
         rows = np.column_stack((prefix, child))
         if j + 1 == k:
-            yield leaf(rows, grown)
+            yield ids[rows], grown if step else at[rows]
         else:
             stack.append([rows, counts[keep], grown, np.cumsum(n - k + j + 1 - child), 0])
 

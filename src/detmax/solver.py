@@ -111,7 +111,7 @@ def brute_force_opt(points, constraint):
     """
     k = constraint.rank
     scatter, d = k >= points.dim, points.dim
-    grow = (np.zeros((1, d, d)), _outer_step(points.coords)) if scatter else (None, None)
+    grow = (np.zeros((1, d, d)), _outer_step(points.coords)) if scatter else (None, None)  # no step: rows
     walk = enumerate_bases(constraint, points, grow)  # checks the cap before the table
     mats = (lambda grown: grown) if scatter else _gram_stacks(points.coords, k)
     best, best_val, seen = None, -math.inf, 0

@@ -42,7 +42,7 @@ def test_a_tiered_peel_scores_through_the_localsearch_global(monkeypatch):
     monkeypatch.setattr(geometry, "logdet_psd_batch", elsewhere)
     X = np.random.default_rng(1).standard_normal((2 * localsearch.TIER_FLOOR, 8))
     ids = np.arange(len(X))
-    assert localsearch.tier_of(*localsearch.gather(X)) is not None
+    assert localsearch.tier_of(*localsearch.gather(X), 8) is not None
     tiered = coreset._peel(ids, X, 4, 8, 1.01)
     counted = list(calls)
     calls.clear()

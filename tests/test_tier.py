@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from detmax import PointSet, coreset, local_opt, localsearch
-from detmax.localsearch import NOTHING, SLACK, TINY, _coefficients, _exchange_ratios, _sweep, gather, tier_of
+from detmax.localsearch import NOTHING, SLACK, TINY, _exchange_ratios, _sweep, gather, tier_of
 
 KINDS = ["random", "rounded", "rescaled", "duplicated", "clustered", "rank-deficient", "zero rows", "tiny"]
 
@@ -97,8 +97,9 @@ def test_tier_search_matches_the_whole_block(monkeypatch, decisions, kind):
         assert decisions["sweep", "tier", True] > 0, decisions
 
 
-def test_random_rows_certify_for_both_ranks(monkeypatch, decisions):
-    # on random rows the tier certifies seeds and sweeps for ell = d and ell < d
+def test_random_rows_certify_for_ell_d_and_build_no_tier_below_it(monkeypatch, decisions):
+    # on random rows the tier certifies seeds and sweeps for ell = d; a
+    # search with ell < d takes every decision on the whole block
     for ell in (3, 6):
         for seed in range(4):
             X = np.random.default_rng(seed).standard_normal((2000, 6))
@@ -106,16 +107,21 @@ def test_random_rows_certify_for_both_ranks(monkeypatch, decisions):
             decisions.clear()
             tiered, whole = _both(monkeypatch, lambda: _layers(coreset._peel(ids, X, 3, ell, 1.01)))
             assert tiered == whole
-            assert decisions["greedy", "tier", True] > 0 and decisions["sweep", "tier", True] > 0, (ell, decisions)
+            tier = sum(n for (_, where, _), n in decisions.items() if where == "tier")
+            if ell == 6:
+                assert decisions["greedy", "tier", True] > 0 and decisions["sweep", "tier", True] > 0, decisions
+            else:
+                assert tier == 0 and decisions["greedy", "whole", True] == 6, decisions
 
 
 def test_tier_is_the_largest_norm_eighth_in_position_order(monkeypatch):
     rng = np.random.default_rng(5)
     X = np.round(rng.standard_normal((4000, 3)), 1)  # many tied norms
     cols, norms = gather(X)
-    assert tier_of(cols, norms) is None  # at most TIER_FLOOR points: searched whole
+    assert tier_of(cols, norms, 3) is None  # at most TIER_FLOOR points: searched whole
     monkeypatch.setattr(localsearch, "TIER_FLOOR", 255)
-    pos, tier_cols, tier_norms, outside = tier_of(cols, norms)
+    assert tier_of(cols, norms, 2) is None  # ell < d: searched whole
+    pos, tier_cols, tier_norms, outside = tier_of(cols, norms, 3)
     assert 0 < len(pos) <= 500 and np.all(np.diff(pos) > 0)
     assert tier_cols.flags.c_contiguous and np.array_equal(tier_cols, cols[:, pos])
     assert np.array_equal(tier_norms, norms[pos]) and tier_norms.min() > outside
@@ -124,10 +130,11 @@ def test_tier_is_the_largest_norm_eighth_in_position_order(monkeypatch):
 
 
 def test_a_left_out_swap_keeps_the_tier_from_stopping():
-    # members at 53 degrees, a tier point in their plane, e3 left out: no
-    # tier exchange clears zeta, but swapping e3 in multiplies the squared
-    # volume by about 1.53, so the tier's stop must not stand
-    X = np.array([[1.0, 0.0, 0.0], [0.66, 0.88, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 0.99], [0.5, 0.0, 0.5]])
+    # ell = d = 2: members at 53 degrees, a tier point between them, and
+    # point 3 left out: no tier exchange clears zeta, but swapping point 3
+    # in for member 0 multiplies the squared volume by about 1.27, so the
+    # tier's stop must not stand
+    X = np.array([[1.0, 0.0], [0.66, 0.88], [0.8, 0.6], [-0.6, 0.7], [0.5, 0.5]])
     cols, norms = gather(X)
     assert _sweep(cols, norms, NOTHING, [0, 1], 1.01) == (0, 3)
     pos = np.array([0, 1, 2])
@@ -151,12 +158,13 @@ def _ill_conditioned_block():
     return X, g, excess
 
 
-def test_ill_conditioned_ell_below_d_sweep_falls_back():
+def test_ill_conditioned_ell_below_d_search_builds_no_tier(monkeypatch, decisions):
     # e2 lies in span(U), and in exact arithmetic its ratio is at most
     # (G^-1)[e, e] |e2|^2; computed, it passes that by far more than SLACK.
     # A tier of the members and point 2 (left out: e2 and smaller) would
-    # then, under the exact-arithmetic bound, certify the swap to point 2
-    # while the whole block swaps to e2; the tier's reach refuses it
+    # then, under the exact-arithmetic bound, certify a swap to point 2
+    # while the whole block swaps to e2; a search with ell < d builds no
+    # tier and makes no tier decision
     X, g, excess = _ill_conditioned_block()
     assert excess > 1.0 + 100 * SLACK
     cols, norms = gather(X)
@@ -167,30 +175,14 @@ def test_ill_conditioned_ell_below_d_sweep_falls_back():
     assert outside == 1.0
     tier_best = _exchange_ratios(tier_cols, norms[pos], [0, 1])[0][:, 2].max()
     assert g.max() * (outside + TINY) * (1.0 + SLACK) + TINY < tier_best < left_out
-    assert _sweep(tier_cols, norms[pos], NOTHING, [0, 1], 1.01, outside) is False
-
-
-def test_computed_residual_beyond_the_norm_stays_under_the_bound():
-    # a selection with two nearly equal rows (ell = 4 < d = 6) and points
-    # pushed nearly off its span: the computed residual |f|^2 - sum B C of
-    # some point is several times |f|^2, and its ratios pass the
-    # exact-arithmetic coefficient max(|M_e|^2, (G^-1)[e, e]); every
-    # computed ratio still lies under c_e |f|^2 (1 + SLACK)
-    rng = np.random.default_rng(18)
-    A = rng.standard_normal((4, 6))
-    A[1] = A[0] + 1e-8 * rng.standard_normal(6)
-    span = np.linalg.qr(A.T)[0]
-    F = rng.standard_normal((500, 6))
-    F -= 0.99 * F @ span @ span.T
-    cols, norms = gather(np.vstack([A, F]))
-    ratio, factors = _exchange_ratios(cols, norms, [0, 1, 2, 3])
-    coef = _coefficients(*factors)
-    M = np.linalg.inv(A @ A.T) @ A
-    resid = norms - np.einsum("ij,ij->j", A @ cols, M @ cols)
-    exact = np.maximum(np.einsum("ij,ij->i", M, M), np.diag(np.linalg.inv(A @ A.T)))
-    assert (resid / norms)[4:].max() > 2.0
-    assert (ratio[:, 4:] / np.outer(exact, norms[4:])).max() > 2.0
-    assert np.all(ratio[:, 4:] <= np.outer(coef, norms[4:]) * (1.0 + SLACK))
+    # the same rows leading a block of 400 small ones, searched with ell = 2 < d = 3
+    rows = np.vstack([X, 0.1 * np.random.default_rng(3).standard_normal((400, 3))])
+    ids = np.arange(len(rows))
+    monkeypatch.setattr(localsearch, "TIER_FLOOR", 255)
+    assert tier_of(*gather(rows), 2) is None and tier_of(*gather(rows), 3) is not None
+    tiered, whole = _both(monkeypatch, lambda: _layers(coreset._peel(ids, rows, 2, 2, 1.01)))
+    assert tiered == whole
+    assert sum(n for (_, where, _), n in decisions.items() if where == "tier") == 0, decisions
 
 
 def test_clustered_block_falls_back_to_the_whole_block(monkeypatch, decisions):
