@@ -43,15 +43,15 @@ from .matroid import cover_number, ground_positions, membership
 from .objective import REGIME_HIGHK, REGIME_LOWK, WeightProfile, mu_tilde, regime_of
 
 
-def _peel(ids, rows, threshold, ell, zeta, child=None):
-    """The layers: up to ``threshold`` disjoint local optima peeled out of ``rows`` (ids ``ids``, ascending).
+def _peel(ids, coords, rows, threshold, ell, zeta, child=None):
+    """The layers: up to ``threshold`` disjoint local optima peeled out of ``coords[rows]`` (ids ``ids``, ascending).
 
     The rows are gathered into one block, and each layer masks the rows it
     took.  ``child`` labels each row's child set (-1 for none); a layer then
     also masks every row that shares a label with one of its members.  Each
     layer searches the block's tier (:func:`tier_of`, built once), if any, first.
     """
-    cols, norms = gather(rows)
+    cols, norms = gather(coords, rows)
     tier = tier_of(cols, norms, ell)
     alive = np.ones(len(ids), dtype=bool)
     layers = []
@@ -116,7 +116,7 @@ def peeling_coreset(points, V, threshold, ell, zeta=DEFAULT_ZETA):
         raise PreconditionError("threshold must be a positive int, got %r" % (threshold,))
     check_search(points.dim, ell, zeta)
     ids = distinct_ids(V)
-    layers = _peel(ids, points.rows(ids), threshold, ell, zeta)
+    layers = _peel(ids, points.coords, points.index(ids), threshold, ell, zeta)
     return LaminarNodeCoreset(frozenset(ids.tolist()), threshold, layers, ())
 
 
@@ -185,7 +185,7 @@ def partition_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
     for g, cap in enumerate(constraint.caps):
         at = np.flatnonzero(labels == g) if cap else ()  # a cap-0 group holds no element of any base
         if len(at):
-            parts[g] = _peel(ids[at], points.coords[rows[at]], 1 if lowk else cap, ell, zeta)
+            parts[g] = _peel(ids[at], points.coords, rows[at], 1 if lowk else cap, ell, zeta)
     layers = [layer for part in parts.values() for layer in part]
     chosen = frozenset().union(*(layer.ids for layer in layers))
     bound = len(constraint.caps) * k if lowk else k * ell
@@ -242,7 +242,7 @@ def laminar_coreset(points, V, constraint, zeta=DEFAULT_ZETA):
         cap = constraint.caps[i]
         if cap:  # only a search needs ell >= 1 and the rows; rank 0 gives ell 0
             check_search(points.dim, ell, zeta)
-        layers = _peel(sub, points.rows(sub), cap, ell, zeta, child) if cap else ()
+        layers = _peel(sub, points.coords, points.index(sub), cap, ell, zeta, child) if cap else ()
         met, then = [], []
         for layer_no, layer in enumerate(layers):
             if layer.degenerate:

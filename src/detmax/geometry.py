@@ -109,9 +109,15 @@ def distinct_ids(ids):
 
 
 def sorted_positions(keys, q):
-    """Where the ints ``q`` would sit in the ascending int array ``keys``, and which of them are keys."""
-    pos = np.minimum(np.searchsorted(keys, q), max(len(keys) - 1, 0))
-    return pos, (keys[pos] == q) if len(keys) else np.zeros(np.shape(q), dtype=bool)
+    """Where the ints ``q`` sit in the distinct, ascending, non-negative int64 ``keys``, clipped, and which are keys.
+
+    Keys 0..n-1 index themselves, others are searched.  Unsigned queries are read as int64: none past its max is a key.
+    """
+    q, n = np.asarray(q).astype(np.int64, copy=False), len(keys)
+    if n and keys[0] == 0 and keys[-1] == n - 1:
+        return (pos := np.minimum(np.maximum(q, 0), n - 1)), pos == q
+    pos = np.minimum(np.searchsorted(keys, q), max(n - 1, 0))
+    return pos, (keys[pos] == q) if n else np.zeros(np.shape(q), dtype=bool)
 
 
 def _numbers(coords):

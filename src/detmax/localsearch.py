@@ -39,13 +39,13 @@ visited selections are scored in one batched log-det after the loop, or
 before a swap-limit or linear-algebra error escapes; the end selection's
 value is taken alone, as the seed's is.
 
-A block of more than TIER_FLOOR points searched with ell = d is searched on
-its tier first, as lazy greedy (Minoux 1978) tries the largest bounds first:
-its largest-norm eighth, in position order so ties still go to the smallest
-id, with ``outside`` the largest squared norm left out.  A tier decision
-stands only when certified to be the whole block's.  The first that is not,
-every later one, and a search whose tier has at most ell live points, use
-the block.
+A block of more than TIER_FLOOR points searched with ell = d, which
+includes k = d, is searched on its tier first, as lazy greedy (Minoux 1978)
+tries the largest bounds first: its largest-norm eighth, in position order
+so ties still go to the smallest id, with ``outside`` the largest squared
+norm left out.  A tier decision stands only when certified to be the whole
+block's.  The first that is not, every later one, and a search whose tier
+has at most ell live points, use the block.
 
 * Greedy: a pick stands when its residual exceeds ``outside``.  Residuals
   start at the norms and only lose squares, and a rounded a - b, b >= 0, is
@@ -109,9 +109,13 @@ def check_search(dim, ell, zeta=DEFAULT_ZETA):
         raise PreconditionError("ell=%d exceeds dim=%d" % (ell, dim))
 
 
-def gather(rows):
-    """A working set's block: the d x n C-ordered copy of its (n, d) rows, and the rows' squared norms."""
-    return rows.T.copy(), np.einsum("ij,ij->i", rows, rows)
+def gather(coords, rows):
+    """The block of ``coords[rows]``: its d x n C-ordered copy and row-summed squared norms, 2**15 entries at a time."""
+    cols, norms, step = np.empty((coords.shape[1], len(rows))), np.empty(len(rows)), (1 << 15) // coords.shape[1]
+    for lo in range(0, len(rows), step):
+        part = coords.take(rows[lo : lo + step], axis=0)
+        cols[:, lo : lo + step], norms[lo : lo + step] = part.T, np.einsum("ij,ij->i", part, part)
+    return cols, norms
 
 
 def tier_of(cols, norms, ell):
@@ -176,7 +180,7 @@ def greedy_init(points, V, ell):
     """
     check_search(points.dim, ell)
     ids = distinct_ids(V)
-    return tuple(ids[_greedy_positions(*gather(points.rows(ids)), min(ell, len(ids)))].tolist())
+    return tuple(ids[_greedy_positions(*gather(points.coords, points.index(ids)), min(ell, len(ids)))].tolist())
 
 
 def _exchange_ratios(cols, norms, cur_pos):
@@ -302,7 +306,7 @@ def local_opt(points, V, ell, zeta=DEFAULT_ZETA, swap_limit=SWAP_LIMIT):
     """
     check_search(points.dim, ell, zeta)
     ids = distinct_ids(V)
-    cols, norms = gather(points.rows(ids))
+    cols, norms = gather(points.coords, points.index(ids))
     return search(cols, norms, ids, ell, zeta, swap_limit, tier=tier_of(cols, norms, ell))
 
 

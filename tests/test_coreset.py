@@ -494,7 +494,7 @@ def _ref_node(points, ids, member, c, i, ell, zeta, warnings, path):
     layers = ()
     if cap:
         check_search(points.dim, ell, zeta)
-        layers = coreset._peel(ids, points.rows(ids), cap, ell, zeta, child)
+        layers = coreset._peel(ids, points.coords, points.index(ids), cap, ell, zeta, child)
     removed, children = [], {}
     for layer_no, layer in enumerate(layers):
         if layer.degenerate:
@@ -640,9 +640,9 @@ def test_masked_peel_matches_the_copying_reference(monkeypatch):
     seen = {"cardinality": 0, "partition": 0, "laminar": 0, "child sets": 0, "degenerate": 0, "|V| < ell": 0,
             "swaps": 0}
 
-    def both(ids, rows, threshold, ell, zeta, child=None):
-        got = real(ids, rows, threshold, ell, zeta, child)
-        want = reference_peel(ids, rows, threshold, ell, zeta, child)
+    def both(ids, coords, rows, threshold, ell, zeta, child=None):
+        got = real(ids, coords, rows, threshold, ell, zeta, child)
+        want = reference_peel(ids, coords[rows], threshold, ell, zeta, child)
         assert [(layer.ids, layer.value, layer.degenerate, layer.swap_count) for layer in got] == want
         seen["child sets"] += child is not None and bool((child >= 0).any())
         seen["degenerate"] += any(layer.degenerate for layer in got)

@@ -49,12 +49,12 @@ def _nu_rows(rows):
 
 def _greedy(X, take):
     """``_greedy_positions`` over the block of the rows of X, nothing masked."""
-    return _greedy_positions(*gather(X), take)
+    return _greedy_positions(*gather(X, np.arange(len(X))), take)
 
 
 def _search(X, ids, ell, **kw):
     """``search`` over the block of the rows of X, nothing masked."""
-    return search(*gather(X), ids, ell, **kw)
+    return search(*gather(X, np.arange(len(X))), ids, ell, **kw)
 
 
 def _reference_greedy(X, take):
@@ -159,6 +159,19 @@ def _search_input(kind, seed, full_rank):
     return X, ell
 
 
+@pytest.mark.parametrize("d", [1, 3, 8, 64])
+def test_gather_writes_the_rows_block_a_slice_at_a_time(d):
+    # several slices, rows in any order with repeats, and an empty block: the
+    # same d x n block and, bit for bit, the same norms as the rows copied whole
+    rng = np.random.default_rng(d)
+    coords = rng.standard_normal((5000, d)) * 10.0 ** rng.uniform(-5, 5, (5000, 1))
+    for rows in (rng.integers(0, 5000, 3 * (1 << 15) // d + 7), np.arange(5000), np.arange(3)[::-1], np.zeros(0, int)):
+        cols, norms = gather(coords, rows)
+        X = coords[rows]
+        assert cols.flags.c_contiguous and np.array_equal(cols, X.T)
+        assert norms.tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
+
+
 class TestGreedyInit:
     def test_frozen_pick_order(self):
         # largest norm first (3 e2), then the best residual (e1)
@@ -231,7 +244,7 @@ class TestUnclampedGreedy:
             rng = np.random.default_rng(seed)
             n, d = int(rng.integers(3, 30)), int(rng.integers(2, 6))
             X = rng.standard_normal(n)[:, None] * rng.standard_normal(d)
-            cols, norms = gather(X)
+            cols, norms = gather(X, np.arange(len(X)))
             first = int(np.argmax(norms))
             left = norms - np.square(cols[:, first] / np.linalg.norm(cols[:, first]) @ cols)
             left[first] = -np.inf
@@ -265,11 +278,11 @@ class TestUnclampedGreedy:
             gone = np.union1d(rng.choice(n, int(rng.integers(0, n // 2)), replace=False), [big])
             live = np.setdiff1d(np.arange(n), gone)
             for take in range(1, min(d, len(live)) + 1):
-                picks = _greedy_positions(*gather(X), take, gone)
+                picks = _greedy_positions(*gather(X, np.arange(len(X))), take, gone)
                 assert picks == live[_reference_greedy(X[live], take)].tolist(), (seed, take)
             ids = 5 * np.arange(n) + 1
             for ell in range(1, d + 1):
-                got = search(*gather(X), ids, ell, gone=gone)
+                got = search(*gather(X, np.arange(len(X))), ids, ell, gone=gone)
                 assert not set(got.ids) & set(ids[gone].tolist())
                 want = _outcome(_search, X[live], ids[live], ell)
                 assert (got.ids, got.value, got.swap_count, got.degenerate) == want, (seed, ell)
@@ -388,7 +401,7 @@ class TestExchangeRatios:
             X = ps.rows(ps.ids)
             rng = np.random.default_rng(seed)
             cur = sorted(int(p) for p in rng.choice(n, ell, replace=False))
-            ratio = _exchange_ratios(*gather(X), cur)[0].T
+            ratio = _exchange_ratios(*gather(X, np.arange(len(X))), cur)[0].T
             base = nu(ps, cur)
             for j, e in enumerate(cur):
                 for f in range(n):
@@ -419,7 +432,7 @@ class TestExchangeRatios:
         ps = _ps([(0, 2, -2), (-2, -1, 1), (1, -1, -2), (2, -2, 0), (1, -1, -2)])
         assert sorted(greedy_init(ps, ps.ids, 3)) == [0, 1, 3]
         X = ps.rows(ps.ids)
-        ratio = _exchange_ratios(*gather(X), [0, 1, 3])[0].T
+        ratio = _exchange_ratios(*gather(X, np.arange(len(X))), [0, 1, 3])[0].T
         assert ratio[2, 0] == ratio[4, 0] == ratio[2, 2] == ratio[4, 2] == 2.25
         res = local_opt(ps, ps.ids, 3, 1.01)
         assert (res.ids, res.swap_count) == ((1, 2, 3), 1)
